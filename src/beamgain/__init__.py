@@ -28,7 +28,6 @@ from .errors import (
 )
 from .fixtures import FIXTURES, load_geometry_csv, nonuniform41, ula41, write_geometry_csv
 from .sphere import (
-    SecularSystem,
     SphereSolver,
     complex_to_real,
     real_to_complex,

@@ -43,7 +43,7 @@ from .oracles import (
     oracle_sphere,
     secular_cost,
 )
-from .sphere import SecularSystem, secular_bisect, solve_sphere_lsq
+from .sphere import secular_bisect, solve_sphere_lsq
 from .subproblems import update_g_wosc, update_gh_wsc
 from .synthesis import SynthesisProblem, scan_sweep, synthesize
 
@@ -258,7 +258,7 @@ def _cmd_sweep(args) -> int:
     problem = _build_problem(config, args.algorithm)
     centers = _parse_centers(args.centers)
     out = _out_dir(config, args.out)
-    rows = scan_sweep(problem, centers, max_workers=args.threads)
+    rows = scan_sweep(problem, centers)
     export_sweep(rows, out / "sweep.csv")
     failures = [r for r in rows if r.error]
     unconverged = [r for r in rows if not r.converged and not r.error]
@@ -342,8 +342,7 @@ def _validate_secular(rng, reports, checks) -> None:
         lambdas = np.sort(rng.uniform(0.0, 10.0, size=size))
         beta = rng.normal(size=size) * 10.0 ** rng.uniform(-1, 1)
         beta[np.abs(beta) < 1e-6] = 1e-3
-        system = SecularSystem(lambdas=lambdas, U=np.zeros((0, 0)), beta=beta)
-        nu = secular_bisect(system)
+        nu = secular_bisect(lambdas, beta)
         roots = oracle_secular_scan(lambdas, beta)
         engine = secular_cost(lambdas, beta, nu)
         oracle = min((secular_cost(lambdas, beta, r) for r in roots), default=engine)
@@ -416,8 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--centers", required=True, help="value or start:stop:step")
     sweep.add_argument("--algorithm", choices=("wosc", "wsc"), default=None)
     sweep.add_argument("--out", default=None)
-    sweep.add_argument("--threads", type=int, default=None,
-                       help="parallel rows (default BEAMGAIN_THREADS or 1)")
     sweep.set_defaults(func=_cmd_sweep)
 
     validate = sub.add_parser("validate", help="run the brute-force oracle checks")

@@ -121,15 +121,19 @@ class AdmmState:
 
 def update_duals(
     state: AdmmState,
-    p: NDArray[np.complex128],
-    q: NDArray[np.complex128] | None = None,
+    px: NDArray[np.complex128],
+    qx: NDArray[np.complex128] | None = None,
 ) -> AdmmState:
-    """Scaled dual ascent: ``u += (op^H x - target) / rho``; refresh residuals."""
-    r1 = p.conj().T @ state.x - state.g
+    """Scaled dual ascent: ``u += (op^H x - target) / rho``; refresh residuals.
+
+    ``px`` and ``qx`` are the region products ``P^H x`` and ``Q^H x`` at the
+    current weights; the loop reuses them for the next level update.
+    """
+    r1 = px - state.g
     state.u1 = state.u1 + r1 / state.rho1
     state.residual_ml = float(np.max(np.abs(r1)))
-    if q is not None and q.shape[1]:
-        r2 = q.conj().T @ state.x - state.h
+    if qx is not None and qx.size:
+        r2 = qx - state.h
         state.u2 = state.u2 + r2 / state.rho2
         state.residual_sl = float(np.max(np.abs(r2)))
     else:
@@ -164,13 +168,15 @@ def _run(p, q, cfg: AdmmConfig, callback=None) -> AdmmState:
     qh = np.ascontiguousarray(q.conj().T) if q is not None else None
     rho2_init = cfg.rho_init if cfg.rho2_init is None else cfg.rho2_init
     state = _initial_state(n, l_ml, l_sl, cfg.rho_init, rho2_init)
+    px = ph @ state.x
+    qx = qh @ state.x if q is not None else None
 
     for k in range(cfg.iter_max):
-        z1 = ph @ state.x + state.rho1 * state.u1
+        z1 = px + state.rho1 * state.u1
         if q is None:
             state.g0, state.g = update_g_wosc(z1, state.rho1)
         else:
-            z2 = qh @ state.x + state.rho2 * state.u2
+            z2 = qx + state.rho2 * state.u2
             state.g0, state.g, state.h = update_gh_wsc(
                 z1, z2, state.rho1, state.rho2, cfg.gamma
             )
@@ -182,7 +188,10 @@ def _run(p, q, cfg: AdmmConfig, callback=None) -> AdmmState:
             )
         except NumericalError as exc:
             raise NumericalError(f"iteration {k + 1}: {exc}") from exc
-        update_duals(state, p, q)
+        px = ph @ state.x
+        if q is not None:
+            qx = qh @ state.x
+        update_duals(state, px, qx)
         state.iteration = k + 1
         state.history.append(
             state.iteration,

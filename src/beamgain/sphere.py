@@ -17,7 +17,7 @@ eigenvalue stays below one, no such root exists; the minimizer then sits at
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 from numpy.typing import NDArray
@@ -25,7 +25,6 @@ from numpy.typing import NDArray
 from .errors import DomainError, NumericalError
 
 __all__ = [
-    "SecularSystem",
     "SphereSolver",
     "complex_to_real",
     "real_to_complex",
@@ -36,6 +35,7 @@ __all__ = [
 
 _BETA_CUTOFF = 1e-14
 _WIDTH_FACTOR = 1e-14
+_SECULAR_STEPS = 300
 
 
 def complex_to_real(x) -> NDArray[np.float64]:
@@ -105,49 +105,8 @@ def realify(
     return np.hstack(blocks), np.concatenate(targets)
 
 
-@dataclass(frozen=True)
-class SecularSystem:
-    """Eigensystem data feeding the secular equation."""
-
-    lambdas: NDArray[np.float64]
-    U: NDArray[np.float64]
-    beta: NDArray[np.float64]
-
-    def __post_init__(self):
-        lambdas = np.asarray(self.lambdas, dtype=float)
-        beta = np.asarray(self.beta, dtype=float)
-        u = np.asarray(self.U, dtype=float)
-        if lambdas.ndim != 1 or beta.shape != lambdas.shape:
-            raise DomainError("eigenvalues and projections must match in length")
-        if lambdas.min(initial=0.0) < -1e-10 * max(1.0, abs(lambdas.max(initial=0.0))):
-            raise DomainError("Gram eigenvalues must be nonnegative")
-        if u.size and np.linalg.norm(u.T @ u - np.eye(u.shape[1])) > 1e-9:
-            raise DomainError("eigenvector matrix must be orthogonal")
-        object.__setattr__(self, "lambdas", lambdas)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "U", u)
-
-    @classmethod
-    def from_operator(cls, m: NDArray[np.float64], d: NDArray[np.float64]):
-        m = np.atleast_2d(np.asarray(m, dtype=float))
-        d = np.asarray(d, dtype=float)
-        gram = m @ m.T
-        gram = 0.5 * (gram + gram.T)
-        lambdas, u = np.linalg.eigh(gram)
-        beta = u.T @ (m @ d)
-        return cls(lambdas=lambdas, U=u, beta=beta)
-
-
-def _secular_f(nu: float, lambdas, beta_sq) -> float:
-    return float(np.sum(beta_sq / (nu - lambdas) ** 2) - 1.0)
-
-
-def _secular_fprime(nu: float, lambdas, beta_sq) -> float:
-    return float(-2.0 * np.sum(beta_sq / (nu - lambdas) ** 3))
-
-
-def secular_bisect(system: SecularSystem, tol: float = 1e-12) -> float:
-    """Smallest root of the secular equation by safeguarded bisection.
+def secular_bisect(lambdas, beta, tol: float = 1e-12) -> float:
+    """Smallest root of ``sum_n (beta_n / (nu - lambda_n))^2 = 1``.
 
     The root is bracketed by
 
@@ -157,30 +116,46 @@ def secular_bisect(system: SecularSystem, tol: float = 1e-12) -> float:
     over the components with nonzero beta (M is their count; the bound
     derivation only sees components that contribute to the sum).  Bisection
     is accelerated with Newton steps kept inside the shrinking bracket and
-    stops at ``|f(nu)| <= tol`` or bracket width ``1e-14 (1 + |nu|)``.
+    stops at ``|f(nu)| <= tol`` or bracket width ``1e-14 (1 + |nu|)``.  A
+    root not certified by either test within the step budget raises
+    :class:`NumericalError`.
     """
-    lambdas = np.asarray(system.lambdas, dtype=float)
-    beta = np.asarray(system.beta, dtype=float)
+    lam = np.asarray(lambdas, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    if lam.ndim != 1 or beta.shape != lam.shape:
+        raise DomainError("eigenvalues and projections must match in length")
     mask = beta != 0.0
-    if not np.any(mask):
+    if not mask.any():
         raise DomainError("beta must not be identically zero")
-    lam = lambdas[mask]
+    lam = lam[mask]
     ab = np.abs(beta[mask])
     beta_sq = ab * ab
     sqrt_m = np.sqrt(ab.size)
+    # f(nu) = sum(beta_sq / (nu - lam)**2) - 1 and f'(nu) = -2 sum(beta_sq /
+    # (nu - lam)**3), evaluated in place.  The ADMM loop amplifies rounding,
+    # so these are exactly the operations of the plain expressions.
+    diff = np.empty_like(lam)
+    terms = np.empty_like(lam)
 
-    lower = float(np.min(lam - sqrt_m * ab))
-    upper = float(min(np.min(lam - ab), np.max(lam - sqrt_m * ab)))
+    def secular_f(nu):
+        np.subtract(nu, lam, out=diff)
+        np.square(diff, out=terms)
+        np.divide(beta_sq, terms, out=terms)
+        return float(terms.sum()) - 1.0
+
+    edge = lam - sqrt_m * ab
+    lower = float(edge.min())
+    upper = float(min((lam - ab).min(), edge.max()))
     scale = 1.0 + abs(lower) + abs(upper)
     nudge = 1e3 * np.finfo(float).eps * scale
-    f_lower = _secular_f(lower, lam, beta_sq)
-    if not np.isfinite(f_lower):
+    f_lower = secular_f(lower)
+    if not isfinite(f_lower):
         lower -= nudge
-        f_lower = _secular_f(lower, lam, beta_sq)
-    f_upper = _secular_f(upper, lam, beta_sq)
-    if not np.isfinite(f_upper):
+        f_lower = secular_f(lower)
+    f_upper = secular_f(upper)
+    if not isfinite(f_upper):
         upper -= nudge
-        f_upper = _secular_f(upper, lam, beta_sq)
+        f_upper = secular_f(upper)
     if f_lower > tol or f_upper < -tol:
         raise NumericalError(
             f"secular bracket invalid: f({lower:.6e}) = {f_lower:.3e}, "
@@ -193,55 +168,73 @@ def secular_bisect(system: SecularSystem, tol: float = 1e-12) -> float:
 
     lo, hi = lower, upper
     nu = 0.5 * (lo + hi)
-    for _ in range(300):
-        f_nu = _secular_f(nu, lam, beta_sq)
-        if np.isfinite(f_nu) and abs(f_nu) <= tol:
+    for _ in range(_SECULAR_STEPS):
+        f_nu = secular_f(nu)
+        finite = isfinite(f_nu)
+        if finite and abs(f_nu) <= tol:
             return nu
-        if not np.isfinite(f_nu) or f_nu > 0:
+        if not finite or f_nu > 0:
             hi = nu
         else:
             lo = nu
         if hi - lo <= _WIDTH_FACTOR * (1.0 + abs(nu)):
             return nu
         nu_next = 0.5 * (lo + hi)
-        if np.isfinite(f_nu):
-            slope = _secular_fprime(nu, lam, beta_sq)
+        if finite:
+            # diff still holds nu - lam from the evaluation of f(nu)
+            np.power(diff, 3, out=terms)
+            np.divide(beta_sq, terms, out=terms)
+            slope = -2.0 * float(terms.sum())
             if slope > 0:
                 newton = nu - f_nu / slope
                 if lo < newton < hi:
                     nu_next = newton
         nu = nu_next
-    return nu
+    raise NumericalError(
+        f"secular root not certified in {_SECULAR_STEPS} steps: "
+        f"bracket [{lo:.17e}, {hi:.17e}]"
+    )
+
+
+def _bottom_mask(lambdas: NDArray[np.float64]) -> NDArray[np.bool_]:
+    """Eigenvalues within the gap tolerance of the smallest one (sorted input)."""
+    lam_min = float(lambdas[0])
+    span = float(lambdas[-1] - lambdas[0])
+    gap_tol = 1e-12 * max(1.0, abs(lam_min) + span)
+    return lambdas - lam_min <= gap_tol
 
 
 def _unit_coefficients(
-    lambdas: NDArray[np.float64], beta: NDArray[np.float64], tol: float
+    lambdas: NDArray[np.float64],
+    bottom: NDArray[np.bool_],
+    beta: NDArray[np.float64],
+    tol: float,
 ) -> NDArray[np.float64]:
-    """Coefficients of the constrained minimizer in the Gram eigenbasis."""
-    beta_max = float(np.max(np.abs(beta)))
+    """Coefficients of the constrained minimizer in the Gram eigenbasis.
+
+    ``bottom`` is :func:`_bottom_mask` of the (ascending) eigenvalues; it
+    depends on the eigensystem alone, so callers compute it once per ``eigh``.
+    """
+    ab = np.abs(beta)
+    beta_max = float(ab.max())
     alpha = np.zeros_like(beta)
     if beta_max == 0.0:
         alpha[0] = 1.0
         return alpha
-    mask = np.abs(beta) > _BETA_CUTOFF * beta_max
-    lam_min = float(lambdas[0])
-    span = float(lambdas[-1] - lambdas[0])
-    gap_tol = 1e-12 * max(1.0, abs(lam_min) + span)
-    bottom = lambdas - lam_min <= gap_tol
-    if not np.any(mask & bottom):
-        gaps = lambdas[mask] - lam_min
-        residual_sum = float(np.sum((beta[mask] / gaps) ** 2))
+    mask = ab > _BETA_CUTOFF * beta_max
+    lam = lambdas[mask]
+    b = beta[mask]
+    if not (mask & bottom).any():
+        gaps = lam - float(lambdas[0])
+        residual_sum = float(np.sum((b / gaps) ** 2))
         if residual_sum < 1.0:
-            alpha[mask] = beta[mask] / gaps
+            alpha[mask] = b / gaps
             alpha[0] += np.sqrt(1.0 - residual_sum)
             return alpha
-    system = SecularSystem(
-        lambdas=lambdas[mask], U=np.zeros((0, 0)), beta=beta[mask]
-    )
-    nu = secular_bisect(system, tol)
-    denom = lambdas[mask] - nu
+    nu = secular_bisect(lam, b, tol)
+    denom = lam - nu
     denom = np.where(denom > 0, denom, np.finfo(float).tiny)
-    alpha[mask] = beta[mask] / denom
+    alpha[mask] = b / denom
     return alpha / np.linalg.norm(alpha)
 
 
@@ -259,9 +252,12 @@ def solve_sphere_lsq(
         raise DomainError("operator/target dimensions are inconsistent")
     if not np.any(m):
         raise DomainError("operator must be nonzero")
-    system = SecularSystem.from_operator(m, d)
-    alpha = _unit_coefficients(system.lambdas, system.beta, secular_tol)
-    x = system.U @ alpha
+    gram = m @ m.T
+    gram = 0.5 * (gram + gram.T)
+    lambdas, u = np.linalg.eigh(gram)
+    beta = u.T @ (m @ d)
+    alpha = _unit_coefficients(lambdas, _bottom_mask(lambdas), beta, secular_tol)
+    x = u @ alpha
     return x / np.linalg.norm(x)
 
 
@@ -290,6 +286,7 @@ class SphereSolver:
         self._ratio: float | None = None
         self._lambdas: NDArray[np.float64] | None = None
         self._u: NDArray[np.float64] | None = None
+        self._bottom: NDArray[np.bool_] | None = None
 
     def _eigensystem(self, ratio: float):
         if (
@@ -301,8 +298,9 @@ class SphereSolver:
             if self._gram_q is not None:
                 gram += ratio * self._gram_q
             self._lambdas, self._u = np.linalg.eigh(gram)
+            self._bottom = _bottom_mask(self._lambdas)
             self._ratio = ratio
-        return self._lambdas, self._u
+        return self._lambdas, self._u, self._bottom
 
     def solve(
         self,
@@ -313,11 +311,11 @@ class SphereSolver:
     ) -> NDArray[np.complex128]:
         """Unit-norm complex minimizer of the weighted stacked least squares."""
         ratio = weight_sl / weight_ml if self._q is not None else 0.0
-        lambdas, u = self._eigensystem(ratio)
+        lambdas, u, bottom = self._eigensystem(ratio)
         b = self._p @ np.asarray(d1, dtype=complex)
         if self._q is not None:
             b = b + ratio * (self._q @ np.asarray(d2, dtype=complex))
         beta = u.T @ complex_to_real(b)
-        alpha = _unit_coefficients(lambdas, beta, self._tol)
+        alpha = _unit_coefficients(lambdas, bottom, beta, self._tol)
         x = u @ alpha
         return real_to_complex(x / np.linalg.norm(x))

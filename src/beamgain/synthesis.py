@@ -9,9 +9,7 @@ the power ratio ``gamma = 10^(dSLL/10)``.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -259,19 +257,6 @@ def _sweep_one(problem: SynthesisProblem, center: float) -> SweepRow:
     )
 
 
-def scan_sweep(
-    problem: SynthesisProblem, centers, max_workers: int | None = None
-) -> list[SweepRow]:
-    """Independent cold-start runs for each beam center, in center order.
-
-    Parallelism is capped by ``max_workers`` or the ``BEAMGAIN_THREADS``
-    environment variable (default 1); results are merged deterministically.
-    """
-    centers = [float(c) for c in centers]
-    if max_workers is None:
-        max_workers = int(os.environ.get("BEAMGAIN_THREADS", "1"))
-    max_workers = max(1, max_workers)
-    if max_workers == 1 or len(centers) <= 1:
-        return [_sweep_one(problem, c) for c in centers]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(lambda c: _sweep_one(problem, c), centers))
+def scan_sweep(problem: SynthesisProblem, centers) -> list[SweepRow]:
+    """Independent cold-start runs for each beam center, in center order."""
+    return [_sweep_one(problem, float(c)) for c in centers]

@@ -59,7 +59,7 @@ class TestDualUpdate:
             rho1=2.0, rho2=2.0,
         )
         before = state.u1.copy()
-        update_duals(state, p)
+        update_duals(state, p.conj().T @ x)
         assert np.allclose(state.u1, before)
         assert state.residual_ml == pytest.approx(0.0, abs=1e-14)
 
@@ -70,7 +70,7 @@ class TestDualUpdate:
             h=np.zeros(0, dtype=complex), u1=np.zeros(1, dtype=complex),
             u2=np.zeros(0, dtype=complex), rho1=2.0, rho2=2.0,
         )
-        update_duals(state, p)
+        update_duals(state, p.conj().T @ state.x)
         assert np.allclose(state.u1, [1.0j])
 
     def test_residual_recomputation(self, rng):
@@ -84,7 +84,7 @@ class TestDualUpdate:
             u1=np.zeros(5, dtype=complex), u2=np.zeros(3, dtype=complex),
             rho1=3.0, rho2=4.0,
         )
-        update_duals(state, p, q)
+        update_duals(state, p.conj().T @ x, q.conj().T @ x)
         assert state.residual_ml == pytest.approx(np.max(np.abs(p.conj().T @ x - g)))
         assert state.residual_sl == pytest.approx(np.max(np.abs(q.conj().T @ x - h)))
 

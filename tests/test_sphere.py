@@ -4,7 +4,6 @@ import pytest
 from beamgain import (
     DomainError,
     NumericalError,
-    SecularSystem,
     SphereSolver,
     complex_to_real,
     real_to_complex,
@@ -12,6 +11,7 @@ from beamgain import (
     secular_bisect,
     solve_sphere_lsq,
 )
+from beamgain import sphere
 from beamgain.oracles import oracle_secular_scan, oracle_sphere, secular_cost
 
 
@@ -67,32 +67,32 @@ class TestRealify:
 
 
 class TestSecularBisect:
-    def system(self, lambdas, beta):
-        return SecularSystem(
-            lambdas=np.asarray(lambdas, dtype=float),
-            U=np.zeros((0, 0)),
-            beta=np.asarray(beta, dtype=float),
-        )
-
     def test_single_term(self):
-        nu = secular_bisect(self.system([0.0], [2.0]))
+        nu = secular_bisect([0.0], [2.0])
         assert nu == pytest.approx(-2.0, abs=1e-10)
 
     def test_symmetric_pair(self):
-        nu = secular_bisect(self.system([1.0, 1.0], [1.0, 1.0]))
+        nu = secular_bisect([1.0, 1.0], [1.0, 1.0])
         assert nu == pytest.approx(1.0 - np.sqrt(2.0), abs=1e-10)
 
     def test_generic_pair_matches_scan(self):
         lambdas = np.array([1.0, 4.0])
         beta = np.array([1.0, 2.0])
-        nu = secular_bisect(self.system(lambdas, beta))
+        nu = secular_bisect(lambdas, beta)
         roots = oracle_secular_scan(lambdas, beta)
         assert nu == pytest.approx(roots[0], abs=1e-8)
         assert nu == pytest.approx(-0.142, abs=5e-4)
 
+    def test_exhausted_step_budget_raises(self, monkeypatch):
+        # one step cannot certify this root; the last iterate must not be
+        # returned as if it were one
+        monkeypatch.setattr(sphere, "_SECULAR_STEPS", 1)
+        with pytest.raises(NumericalError, match="not certified"):
+            secular_bisect([1.0, 4.0], [1.0, 2.0])
+
     def test_all_zero_beta_rejected(self):
         with pytest.raises(DomainError):
-            secular_bisect(self.system([1.0], [0.0]))
+            secular_bisect([1.0], [0.0])
 
     def test_residual_bracket_and_ordering(self, rng):
         for _ in range(150):
@@ -100,7 +100,7 @@ class TestSecularBisect:
             lambdas = np.sort(rng.uniform(0, 10, size=size))
             beta = rng.normal(size=size)
             beta[np.abs(beta) < 1e-6] = 1e-3
-            nu = secular_bisect(self.system(lambdas, beta))
+            nu = secular_bisect(lambdas, beta)
             residual = np.sum((beta / (nu - lambdas)) ** 2) - 1.0
             assert abs(residual) <= 1e-10
             m = np.sqrt(size)

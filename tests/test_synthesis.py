@@ -190,17 +190,6 @@ class TestScanSweep:
         assert np.isnan(rows[1].g0_dbi)
         assert rows[0].error is None
 
-    def test_parallel_matches_serial(self):
-        geom = ula(7)
-        problem = SynthesisProblem(
-            geometry=geom, beam_center_deg=0.0, beamwidth_deg=24.0,
-            admm=AdmmConfig(rho_init=200.0, iter_max=120),
-        )
-        serial = scan_sweep(problem, [0.0, 10.0], max_workers=1)
-        parallel = scan_sweep(problem, [0.0, 10.0], max_workers=2)
-        for a, b in zip(serial, parallel):
-            assert a.g0_dbi == pytest.approx(b.g0_dbi, abs=1e-12)
-
     def test_scanning_reference_rows(self):
         # full-size sweep: constrained runs across beam centers keep the
         # requested sidelobe level within 0.2 dB at every direction

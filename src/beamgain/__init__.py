@@ -16,7 +16,7 @@ from .arraymodel import (
     synth_aep,
     write_aep,
 )
-from .engine import AdmmConfig, AdmmHistory, AdmmState, run_wosc, run_wsc, update_duals
+from .engine import AdmmConfig, AdmmHistory, AdmmState, run_wosc, run_wsc
 from .errors import (
     BeamgainError,
     ConfigError,
@@ -27,14 +27,7 @@ from .errors import (
     NumericalError,
 )
 from .fixtures import FIXTURES, load_geometry_csv, nonuniform41, ula41, write_geometry_csv
-from .sphere import (
-    SphereSolver,
-    complex_to_real,
-    real_to_complex,
-    realify,
-    secular_bisect,
-    solve_sphere_lsq,
-)
+from .sphere import SphereSolver, secular_bisect, solve_sphere_lsq
 from .subproblems import update_g_wosc, update_gh_wsc
 from .synthesis import (
     SweepRow,

@@ -94,14 +94,12 @@ class ArrayGeometry:
     ``efficiencies`` holds the per-element total efficiency; the optimizer
     works on effective weights ``w_eff = w_phys * sqrt(efficiency)`` so the
     efficiencies never enter the operators, only the weight conversion.
-    ``positions`` must already be normalized by the wavelength
-    (``wavelength_normalized`` documents this; no other unit is supported).
+    ``positions`` must already be normalized by the wavelength.
     """
 
     positions: NDArray[np.float64]
     efficiencies: NDArray[np.float64]
     element_patterns: tuple[ElementPattern, ...] | None = None
-    wavelength_normalized: bool = True
 
     def __post_init__(self):
         positions = np.asarray(self.positions, dtype=float)
@@ -111,8 +109,6 @@ class ArrayGeometry:
             raise DomainError("positions must be finite")
         if np.any(np.diff(positions) <= 0):
             raise DomainError("positions must be strictly increasing")
-        if not self.wavelength_normalized:
-            raise DomainError("positions must be given in wavelengths")
         efficiencies = np.asarray(self.efficiencies, dtype=float)
         if efficiencies.shape != positions.shape:
             raise DomainError("efficiencies must match positions in length")
@@ -288,7 +284,6 @@ class GainOperators:
 
     A: NDArray[np.complex128]
     C: NDArray[np.complex128]
-    C_inv: NDArray[np.complex128]
     P: NDArray[np.complex128]
     Q: NDArray[np.complex128]
     mainlobe: AngularGrid
@@ -298,9 +293,6 @@ class GainOperators:
         norm_a = np.linalg.norm(self.A)
         if np.linalg.norm(self.C.conj().T @ self.C - self.A) > 1e-10 * norm_a:
             raise FactorizationError("factor does not reproduce the matrix")
-        eye = np.eye(self.A.shape[0])
-        if np.linalg.norm(self.C @ self.C_inv - eye) > 1e-10:
-            raise FactorizationError("factor inverse check failed")
         for name, op in (("mainlobe", self.P), ("sidelobe", self.Q)):
             if op.size:
                 norms = np.linalg.norm(op, axis=0)
@@ -322,14 +314,14 @@ def build_gain_operators(
 ) -> GainOperators:
     """Assemble A, its factor and the mainlobe/sidelobe region operators."""
     a = build_total_power_matrix(geometry, quadrature_order)
-    c, c_inv = factorize(a)
+    c, _ = factorize(a)
     p = build_region_operator(geometry, c, mainlobe)
     if sidelobe:
         q = np.hstack([build_region_operator(geometry, c, seg) for seg in sidelobe])
     else:
         q = np.zeros((geometry.n_elements, 0), dtype=complex)
     return GainOperators(
-        A=a, C=c, C_inv=c_inv, P=p, Q=q, mainlobe=mainlobe, sidelobe=tuple(sidelobe)
+        A=a, C=c, P=p, Q=q, mainlobe=mainlobe, sidelobe=tuple(sidelobe)
     )
 
 

@@ -17,7 +17,7 @@ from numpy.typing import NDArray
 
 from .arraymodel import GainOperators
 from .errors import DomainError, NumericalError
-from .sphere import SphereSolver
+from .sphere import RowBlockedProduct, SphereSolver
 from .subproblems import update_g_wosc, update_gh_wsc
 
 __all__ = ["AdmmConfig", "AdmmHistory", "AdmmState", "run_wosc", "run_wsc", "update_duals"]
@@ -165,11 +165,11 @@ def _run(p, q, cfg: AdmmConfig, callback=None) -> AdmmState:
 
     solver = SphereSolver(p, q, secular_tol=cfg.secular_tol)
     ph = np.ascontiguousarray(p.conj().T)
-    qh = np.ascontiguousarray(q.conj().T) if q is not None else None
+    qh = RowBlockedProduct(np.ascontiguousarray(q.conj().T)) if q is not None else None
     rho2_init = cfg.rho_init if cfg.rho2_init is None else cfg.rho2_init
     state = _initial_state(n, l_ml, l_sl, cfg.rho_init, rho2_init)
     px = ph @ state.x
-    qx = qh @ state.x if q is not None else None
+    qx = qh(state.x) if q is not None else None
 
     for k in range(cfg.iter_max):
         z1 = px + state.rho1 * state.u1
@@ -190,7 +190,7 @@ def _run(p, q, cfg: AdmmConfig, callback=None) -> AdmmState:
             raise NumericalError(f"iteration {k + 1}: {exc}") from exc
         px = ph @ state.x
         if q is not None:
-            qx = qh @ state.x
+            qx = qh(state.x)
         update_duals(state, px, qx)
         state.iteration = k + 1
         state.history.append(

@@ -25,6 +25,7 @@ from numpy.typing import NDArray
 from .errors import DomainError, NumericalError
 
 __all__ = [
+    "RowBlockedProduct",
     "SphereSolver",
     "complex_to_real",
     "real_to_complex",
@@ -36,6 +37,10 @@ __all__ = [
 _BETA_CUTOFF = 1e-14
 _WIDTH_FACTOR = 1e-14
 _SECULAR_STEPS = 300
+# OpenBLAS runs a complex GEMV on its thread pool once m * n reaches this.
+_GEMV_THREADING_SIZE = 4096
+# Rows per block of a NoTrans product; a multiple of the kernel's 4-row groups.
+_NOTRANS_BLOCK_ROWS = 8
 
 
 def complex_to_real(x) -> NDArray[np.float64]:
@@ -261,6 +266,61 @@ def solve_sphere_lsq(
     return x / np.linalg.norm(x)
 
 
+def _row_cuts(a: NDArray[np.complex128]) -> list[int]:
+    """Row boundaries of the blocks :class:`RowBlockedProduct` computes.
+
+    A product below the threading size is one block.  An F-ordered operator
+    (OpenBLAS's NoTrans kernel, whose rounding depends on the row range) is
+    split like OpenBLAS's two-thread split, at ``ceil(m/2)``, and each half
+    is cut into 8-row blocks.  A C-ordered one (Trans kernel, one dot product
+    per row, so any split rounds alike) is cut into equal blocks.  numpy
+    computes a one-row product as a dot product, which rounds differently,
+    so a block never has one row; where the rules cannot keep every block
+    below the threading size with at least two rows, the product stays whole.
+    """
+    m, n = a.shape
+    if m * n < _GEMV_THREADING_SIZE:
+        return [0, m]
+    if a.flags.f_contiguous:
+        half = -(-m // 2)
+        cuts = [0]
+        for lo, hi in ((0, half), (half, m)):
+            # a last piece of one row joins the block before it
+            cuts += range(lo + _NOTRANS_BLOCK_ROWS, hi - 1, _NOTRANS_BLOCK_ROWS)
+            cuts.append(hi)
+    elif a.flags.c_contiguous:
+        count = -(-m // max((_GEMV_THREADING_SIZE - 1) // n, 1))
+        cuts = [i * m // count for i in range(count + 1)]
+    else:
+        return [0, m]
+    sizes = np.diff(cuts)
+    if sizes.min() < 2 or sizes.max() * n >= _GEMV_THREADING_SIZE:
+        return [0, m]
+    return cuts
+
+
+class RowBlockedProduct:
+    """``a @ v`` computed in fixed row blocks that OpenBLAS never threads.
+
+    A threaded GEMV wakes OpenBLAS's worker thread on every call, and the
+    worker then spins; with one solver process per CPU the spinning threads
+    starve the solvers.  The blocks (see :func:`_row_cuts`) reproduce the bits
+    of the plain product at OpenBLAS's two-thread default, and give those
+    same bits at any thread count.
+    """
+
+    def __init__(self, a: NDArray[np.complex128]):
+        cuts = _row_cuts(a)
+        self._rows = a.shape[0]
+        self._blocks = [(lo, hi, a[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+
+    def __call__(self, v: NDArray[np.complex128]) -> NDArray[np.complex128]:
+        out = np.empty(self._rows, dtype=complex)
+        for lo, hi, block in self._blocks:
+            np.matmul(block, v, out=out[lo:hi])
+        return out
+
+
 class SphereSolver:
     """Reusable sphere least-squares solver for fixed region operators.
 
@@ -278,6 +338,7 @@ class SphereSolver:
         self._p = np.asarray(p, dtype=complex)
         q = None if q is None or q.size == 0 else np.asarray(q, dtype=complex)
         self._q = q
+        self._q_product = RowBlockedProduct(q) if q is not None else None
         self._tol = secular_tol
         self._gram_p = _realify_hermitian(self._p @ self._p.conj().T)
         self._gram_q = (
@@ -314,7 +375,7 @@ class SphereSolver:
         lambdas, u, bottom = self._eigensystem(ratio)
         b = self._p @ np.asarray(d1, dtype=complex)
         if self._q is not None:
-            b = b + ratio * (self._q @ np.asarray(d2, dtype=complex))
+            b = b + ratio * self._q_product(np.asarray(d2, dtype=complex))
         beta = u.T @ complex_to_real(b)
         alpha = _unit_coefficients(lambdas, bottom, beta, self._tol)
         x = u @ alpha

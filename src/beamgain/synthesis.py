@@ -9,6 +9,7 @@ the power ratio ``gamma = 10^(dSLL/10)``.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field, replace
 
@@ -257,6 +258,31 @@ def _sweep_one(problem: SynthesisProblem, center: float) -> SweepRow:
     )
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def scan_sweep(problem: SynthesisProblem, centers) -> list[SweepRow]:
-    """Independent cold-start runs for each beam center, in center order."""
-    return [_sweep_one(problem, float(c)) for c in centers]
+    """Independent cold-start runs for each beam center, in center order.
+
+    The centers are solved in forked worker processes, one per CPU, or in
+    this process when there would be fewer than two workers or the platform
+    cannot fork.  Forked workers start from the parent's loaded modules;
+    spawned ones would import numpy, scipy and beamgain again for each
+    sweep.  The pool modules are imported here so that ``import beamgain``
+    does not pay for them.
+    """
+    import multiprocessing
+
+    centers = [float(c) for c in centers]
+    workers = min(len(centers), _cpu_count())
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return [_sweep_one(problem, c) for c in centers]
+    from concurrent.futures import ProcessPoolExecutor
+
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+        return list(pool.map(_sweep_one, [problem] * len(centers), centers))

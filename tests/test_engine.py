@@ -10,9 +10,8 @@ from beamgain import (
     build_gain_operators,
     run_wosc,
     run_wsc,
-    update_duals,
 )
-from beamgain.engine import amplitude_to_dbi
+from beamgain.engine import amplitude_to_dbi, update_duals
 from conftest import random_geometry
 
 
@@ -232,7 +231,7 @@ class TestScaleRobustness:
 
         phase = np.exp(1j * 0.7331)
         scaled = type(ops)(
-            A=ops.A, C=ops.C, C_inv=ops.C_inv,
+            A=ops.A, C=ops.C,
             P=phase * ops.P, Q=phase * ops.Q,
             mainlobe=ops.mainlobe, sidelobe=ops.sidelobe,
         )

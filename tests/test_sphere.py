@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,14 +10,15 @@ from beamgain import (
     DomainError,
     NumericalError,
     SphereSolver,
-    complex_to_real,
-    real_to_complex,
-    realify,
+    assemble_regions,
+    build_gain_operators,
+    nonuniform41,
     secular_bisect,
     solve_sphere_lsq,
 )
 from beamgain import sphere
 from beamgain.oracles import oracle_secular_scan, oracle_sphere, secular_cost
+from beamgain.sphere import RowBlockedProduct, complex_to_real, real_to_complex, realify
 
 
 def stacked_cost(m, d, x):
@@ -183,3 +189,51 @@ class TestSphereSolver:
             cost_cached = np.linalg.norm(m.T @ complex_to_real(x) - dt) ** 2
             cost_direct = np.linalg.norm(m.T @ xt - dt) ** 2
             assert cost_cached == pytest.approx(cost_direct, rel=1e-9, abs=1e-12)
+
+
+# Computes the blocked Q d on the nonuniform41 operators in a fresh process and
+# prints the bytes in hex, so that the BLAS thread count can be set before
+# numpy loads OpenBLAS.
+_CHILD_PRODUCT = """
+import numpy as np
+from beamgain import assemble_regions, build_gain_operators, nonuniform41
+from beamgain.sphere import RowBlockedProduct
+
+rng = np.random.default_rng(7)
+for center in (0.0, 0.25):
+    ml, sl = assemble_regions(center, 20.0, 3.0, 0.5)
+    q = build_gain_operators(nonuniform41(), ml, sl).Q
+    product = RowBlockedProduct(q)
+    for _ in range(20):
+        d = rng.normal(size=q.shape[1]) + 1j * rng.normal(size=q.shape[1])
+        print(product(d).tobytes().hex())
+"""
+
+
+class TestRowBlockedProduct:
+    @pytest.mark.parametrize("center", [0.0, 0.25])
+    def test_adjoint_product_equals_plain(self, rng, center):
+        mainlobe, sidelobe = assemble_regions(center, 20.0, 3.0, 0.5)
+        q = build_gain_operators(nonuniform41(), mainlobe, sidelobe).Q
+        qh = np.ascontiguousarray(q.conj().T)
+        assert qh.shape[0] == {0.0: 310, 0.25: 309}[center]
+        product = RowBlockedProduct(qh)
+        for _ in range(200):
+            x = rng.normal(size=41) + 1j * rng.normal(size=41)
+            assert np.array_equal(product(x), qh @ x)
+
+    def test_forward_product_independent_of_thread_count(self):
+        src = str(Path(sphere.__file__).resolve().parents[1])
+        outputs = []
+        for threads in (None, "1"):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            done = subprocess.run(
+                [sys.executable, "-c", _CHILD_PRODUCT],
+                env=env, capture_output=True, text=True, timeout=120, check=True,
+            )
+            outputs.append(done.stdout)
+        assert len(outputs[0].split()) == 40
+        assert outputs[0] == outputs[1]

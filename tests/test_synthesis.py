@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,22 @@ class TestScanSweep:
         assert len(rows) == 1
         assert rows[0].g0_dbi == pytest.approx(direct.g0_dbi, abs=1e-9)
         assert rows[0].converged == direct.converged
+
+    def test_rows_in_center_order_match_synthesize(self):
+        problem = SynthesisProblem(
+            geometry=ula(8), beam_center_deg=0.0, beamwidth_deg=20.0,
+            resolution_deg=1.0, dsll_db=-15.0,
+            admm=AdmmConfig(rho_init=200.0, iter_max=100),
+        )
+        centers = [12.0, -20.0, 0.0, 5.0]
+        rows = scan_sweep(problem, centers)
+        assert [row.theta_c_deg for row in rows] == centers
+        fields = ("g0_dbi", "osll_db", "ripple_db", "iterations", "converged")
+        for row, center in zip(rows, centers):
+            direct = synthesize(replace(problem, beam_center_deg=center))
+            assert row.error is None
+            for name in fields:
+                assert getattr(row, name) == getattr(direct, name), name
 
     def test_failure_recorded_sweep_continues(self):
         geom = ula(9)

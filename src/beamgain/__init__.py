@@ -4,7 +4,6 @@ from .arraymodel import (
     AngularGrid,
     ArrayGeometry,
     ElementPattern,
-    GainOperators,
     build_gain_operators,
     build_region_operator,
     build_total_power_matrix,
@@ -16,7 +15,7 @@ from .arraymodel import (
     synth_aep,
     write_aep,
 )
-from .engine import AdmmConfig, AdmmHistory, AdmmState, run_wosc, run_wsc
+from .engine import AdmmConfig, AdmmState, run_wosc, run_wsc
 from .errors import (
     BeamgainError,
     ConfigError,
@@ -26,11 +25,10 @@ from .errors import (
     IngestionError,
     NumericalError,
 )
-from .fixtures import FIXTURES, load_geometry_csv, nonuniform41, ula41, write_geometry_csv
+from .fixtures import load_geometry_csv, nonuniform41, ula41
 from .sphere import SphereSolver, secular_bisect, solve_sphere_lsq
 from .subproblems import update_g_wosc, update_gh_wsc
 from .synthesis import (
-    SweepRow,
     SynthesisProblem,
     SynthesisResult,
     assemble_regions,

@@ -234,10 +234,8 @@ def build_total_power_matrix(
     return a
 
 
-def factorize(
-    a: NDArray[np.complex128],
-) -> tuple[NDArray[np.complex128], NDArray[np.complex128]]:
-    """Upper-triangular factor C with ``C^H C = A`` and its exact inverse."""
+def factorize(a: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    """Upper-triangular factor C with ``C^H C = A``."""
     a = np.asarray(a, dtype=complex)
     norm_a = np.linalg.norm(a)
     if norm_a == 0:
@@ -254,8 +252,7 @@ def factorize(
         )
     if info < 0:
         raise FactorizationError(f"invalid factorization argument {-info}")
-    c_inv = solve_triangular(c, np.eye(a.shape[0], dtype=complex), lower=False)
-    return c, c_inv
+    return c
 
 
 def build_region_operator(
@@ -314,7 +311,7 @@ def build_gain_operators(
 ) -> GainOperators:
     """Assemble A, its factor and the mainlobe/sidelobe region operators."""
     a = build_total_power_matrix(geometry, quadrature_order)
-    c, _ = factorize(a)
+    c = factorize(a)
     p = build_region_operator(geometry, c, mainlobe)
     if sidelobe:
         q = np.hstack([build_region_operator(geometry, c, seg) for seg in sidelobe])

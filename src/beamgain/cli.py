@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -62,15 +63,7 @@ _PROBLEM_KEYS = {
     "dsll_db",
     "quadrature_order",
 }
-_ADMM_KEYS = {
-    "rho_init",
-    "rho2_init",
-    "rho_decay",
-    "iter_max",
-    "residual_tol",
-    "secular_tol",
-    "rho_floor",
-}
+_ADMM_KEYS = {f.name for f in fields(AdmmConfig)}
 _OUTPUT_KEYS = {"directory", "pattern", "weights", "history"}
 _TOP_KEYS = {"geometry", "aep", "problem", "admm", "output"}
 
@@ -177,7 +170,6 @@ def _build_problem(config: dict, algorithm: str | None) -> SynthesisProblem:
 
 
 def _resolved_config(problem: SynthesisProblem, config: dict) -> dict:
-    admm = problem.admm
     return {
         "geometry": config["geometry"],
         "aep": config.get("aep"),
@@ -189,15 +181,7 @@ def _resolved_config(problem: SynthesisProblem, config: dict) -> dict:
             "dsll_db": problem.dsll_db,
             "quadrature_order": problem.quadrature_order,
         },
-        "admm": {
-            "rho_init": admm.rho_init,
-            "rho2_init": admm.rho2_init,
-            "rho_decay": admm.rho_decay,
-            "iter_max": admm.iter_max,
-            "residual_tol": admm.residual_tol,
-            "secular_tol": admm.secular_tol,
-            "rho_floor": admm.rho_floor,
-        },
+        "admm": asdict(problem.admm),
     }
 
 
@@ -222,8 +206,7 @@ def _cmd_synth(args) -> int:
         export_weights(result, out / "weights.csv")
     if toggles.get("history", True):
         export_history(result.history, out / "history.csv")
-    payload = summary_payload(_resolved_config(problem, config), result, wall_ms,
-                              seed=args.seed)
+    payload = summary_payload(_resolved_config(problem, config), result, wall_ms)
     export_summary(payload, out / "summary.json")
     print(
         f"g0_dbi={result.g0_dbi:.3f} osll_db="
@@ -406,8 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--algorithm", choices=("wosc", "wsc"), default=None,
                        help="override the algorithm implied by dsll_db")
     synth.add_argument("--out", default=None, help="output directory override")
-    synth.add_argument("--seed", type=int, default=None,
-                       help="recorded in the summary; synthesis is deterministic")
     synth.set_defaults(func=_cmd_synth)
 
     sweep = sub.add_parser("sweep", help="scan the beam center over a range")

@@ -2,8 +2,9 @@
 
 Each iteration updates the auxiliary gain levels through their piecewise
 analytic minimizer, re-solves the weight vector on the unit sphere against
-the current targets, then takes a scaled dual ascent step.  The penalties
-decay geometrically each iteration down to a configurable floor; a run
+the current targets, then takes a scaled dual ascent step.  One penalty rho
+serves both constraint blocks (the scaled form of Boyd et al. 2011, §3.1);
+it decays geometrically each iteration down to a fixed floor, and a run
 stops once every constraint residual drops below the tolerance or the
 iteration budget is exhausted.
 """
@@ -28,40 +29,27 @@ def amplitude_to_dbi(g0: float) -> float:
     return 10.0 * np.log10(max(2.0 * g0 * g0, 1e-300))
 
 
+# Both residuals must fall to this for a run to count as converged.
+RESIDUAL_TOL = 1e-4
+# The penalty decays no further than this, which bounds the dual step 1/rho.
+RHO_FLOOR = 1e-3
+
+
 @dataclass(frozen=True)
 class AdmmConfig:
-    """Tuning parameters shared by both loop variants.
-
-    ``gamma`` is the sidelobe power ratio (only consulted with a sidelobe
-    block).  ``rho_floor`` keeps the penalties strictly positive and bounds
-    the dual step 1/rho; the decay stops there.
-    """
+    """Penalty schedule and iteration budget shared by both loop variants."""
 
     rho_init: float = 1000.0
-    rho2_init: float | None = None
     rho_decay: float = 0.99
     iter_max: int = 2000
-    residual_tol: float = 1e-4
-    secular_tol: float = 1e-12
-    gamma: float | None = None
-    rho_floor: float = 1e-3
 
     def __post_init__(self):
-        for name, rho in (("rho_init", self.rho_init), ("rho2_init", self.rho2_init)):
-            if rho is not None and not 1.0 < rho < 10000.0:
-                raise DomainError(f"{name} must lie in (1, 10000)")
+        if not 1.0 < self.rho_init < 10000.0:
+            raise DomainError("rho_init must lie in (1, 10000)")
         if not 0.0 < self.rho_decay <= 1.0:
             raise DomainError("rho_decay must lie in (0, 1]")
         if self.iter_max < 1:
             raise DomainError("iter_max must be at least 1")
-        if self.residual_tol <= 0:
-            raise DomainError("residual_tol must be positive")
-        if self.secular_tol <= 0:
-            raise DomainError("secular_tol must be positive")
-        if self.gamma is not None and not self.gamma > 0:
-            raise DomainError("gamma must be positive")
-        if not 0.0 < self.rho_floor <= self.rho_init:
-            raise DomainError("rho_floor must lie in (0, rho_init]")
 
 
 @dataclass
@@ -72,19 +60,17 @@ class AdmmHistory:
     g0_amp: list[float] = field(default_factory=list)
     residual_ml: list[float] = field(default_factory=list)
     residual_sl: list[float] = field(default_factory=list)
-    rho1: list[float] = field(default_factory=list)
-    rho2: list[float] = field(default_factory=list)
+    rho: list[float] = field(default_factory=list)
     dual_inc_1: list[float] = field(default_factory=list)
     dual_inc_2: list[float] = field(default_factory=list)
 
-    def append(self, iteration, g0_amp, residual_ml, residual_sl, rho1, rho2,
+    def append(self, iteration, g0_amp, residual_ml, residual_sl, rho,
                dual_inc_1, dual_inc_2):
         self.iteration.append(int(iteration))
         self.g0_amp.append(float(g0_amp))
         self.residual_ml.append(float(residual_ml))
         self.residual_sl.append(float(residual_sl))
-        self.rho1.append(float(rho1))
-        self.rho2.append(float(rho2))
+        self.rho.append(float(rho))
         self.dual_inc_1.append(float(dual_inc_1))
         self.dual_inc_2.append(float(dual_inc_2))
 
@@ -106,8 +92,7 @@ class AdmmState:
     h: NDArray[np.complex128]
     u1: NDArray[np.complex128]
     u2: NDArray[np.complex128]
-    rho1: float
-    rho2: float
+    rho: float
     iteration: int = 0
     residual_ml: float = np.inf
     residual_sl: float = np.inf
@@ -130,18 +115,18 @@ def update_duals(
     current weights; the loop reuses them for the next level update.
     """
     r1 = px - state.g
-    state.u1 = state.u1 + r1 / state.rho1
+    state.u1 = state.u1 + r1 / state.rho
     state.residual_ml = float(np.max(np.abs(r1)))
     if qx is not None and qx.size:
         r2 = qx - state.h
-        state.u2 = state.u2 + r2 / state.rho2
+        state.u2 = state.u2 + r2 / state.rho
         state.residual_sl = float(np.max(np.abs(r2)))
     else:
         state.residual_sl = 0.0
     return state
 
 
-def _initial_state(n: int, l_ml: int, l_sl: int, rho1: float, rho2: float) -> AdmmState:
+def _initial_state(n: int, l_ml: int, l_sl: int, rho: float) -> AdmmState:
     return AdmmState(
         x=np.zeros(n, dtype=complex),
         g0=0.0,
@@ -149,43 +134,37 @@ def _initial_state(n: int, l_ml: int, l_sl: int, rho1: float, rho2: float) -> Ad
         h=np.zeros(l_sl, dtype=complex),
         u1=np.zeros(l_ml, dtype=complex),
         u2=np.zeros(l_sl, dtype=complex),
-        rho1=rho1,
-        rho2=rho2,
+        rho=rho,
     )
 
 
-def _run(p, q, cfg: AdmmConfig, callback=None) -> AdmmState:
+def _run(p, q, cfg: AdmmConfig, gamma, callback=None) -> AdmmState:
     n, l_ml = p.shape
     if l_ml == 0:
         raise DomainError("mainlobe operator must have at least one column")
     q = None if q is None or q.shape[1] == 0 else q
     l_sl = 0 if q is None else q.shape[1]
-    if q is not None and cfg.gamma is None:
-        raise DomainError("gamma is required when a sidelobe block is present")
 
-    solver = SphereSolver(p, q, secular_tol=cfg.secular_tol)
+    solver = SphereSolver(p, q)
     ph = np.ascontiguousarray(p.conj().T)
     qh = RowBlockedProduct(np.ascontiguousarray(q.conj().T)) if q is not None else None
-    rho2_init = cfg.rho_init if cfg.rho2_init is None else cfg.rho2_init
-    state = _initial_state(n, l_ml, l_sl, cfg.rho_init, rho2_init)
+    state = _initial_state(n, l_ml, l_sl, cfg.rho_init)
     px = ph @ state.x
     qx = qh(state.x) if q is not None else None
 
     for k in range(cfg.iter_max):
-        z1 = px + state.rho1 * state.u1
+        z1 = px + state.rho * state.u1
         if q is None:
-            state.g0, state.g = update_g_wosc(z1, state.rho1)
+            state.g0, state.g = update_g_wosc(z1, state.rho)
         else:
-            z2 = qx + state.rho2 * state.u2
+            z2 = qx + state.rho * state.u2
             state.g0, state.g, state.h = update_gh_wsc(
-                z1, z2, state.rho1, state.rho2, cfg.gamma
+                z1, z2, state.rho, state.rho, gamma
             )
-        d1 = state.g - state.rho1 * state.u1
-        d2 = state.h - state.rho2 * state.u2 if q is not None else None
+        d1 = state.g - state.rho * state.u1
+        d2 = state.h - state.rho * state.u2 if q is not None else None
         try:
-            state.x = solver.solve(
-                d1, d2, weight_ml=1.0 / state.rho1, weight_sl=1.0 / state.rho2
-            )
+            state.x = solver.solve(d1, d2)
         except NumericalError as exc:
             raise NumericalError(f"iteration {k + 1}: {exc}") from exc
         px = ph @ state.x
@@ -198,20 +177,18 @@ def _run(p, q, cfg: AdmmConfig, callback=None) -> AdmmState:
             state.g0,
             state.residual_ml,
             state.residual_sl,
-            state.rho1,
-            state.rho2,
-            state.residual_ml / state.rho1,
-            state.residual_sl / state.rho2 if q is not None else 0.0,
+            state.rho,
+            state.residual_ml / state.rho,
+            state.residual_sl / state.rho if q is not None else 0.0,
         )
         if callback is not None:
             callback(state)
-        if state.residual_ml <= cfg.residual_tol and (
-            q is None or state.residual_sl <= cfg.residual_tol
+        if state.residual_ml <= RESIDUAL_TOL and (
+            q is None or state.residual_sl <= RESIDUAL_TOL
         ):
             state.converged = True
             break
-        state.rho1 = max(state.rho1 * cfg.rho_decay, cfg.rho_floor)
-        state.rho2 = max(state.rho2 * cfg.rho_decay, cfg.rho_floor)
+        state.rho = max(state.rho * cfg.rho_decay, RHO_FLOOR)
     return state
 
 
@@ -222,17 +199,17 @@ def run_wosc(ops: GainOperators, cfg: AdmmConfig, callback=None) -> AdmmState:
     ``g - rho u``.  Stops when ``max|P^H x - g|`` falls below the residual
     tolerance or at the iteration cap, whichever first.
     """
-    return _run(ops.P, None, cfg, callback)
+    return _run(ops.P, None, cfg, None, callback)
 
 
-def run_wsc(ops: GainOperators, cfg: AdmmConfig, callback=None) -> AdmmState:
-    """Sidelobe-constrained loop with the combined weighted sphere update.
+def run_wsc(ops: GainOperators, cfg: AdmmConfig, gamma: float, callback=None) -> AdmmState:
+    """Sidelobe-constrained loop with the combined sphere update.
 
-    The weight step minimizes the sum of both constraint blocks weighted by
-    the reciprocal penalties; convergence requires both residuals below the
-    tolerance.  An empty sidelobe operator reproduces :func:`run_wosc`
-    exactly.
+    ``gamma`` is the sidelobe power ratio of the cap ``|Q^H x| <= sqrt(gamma)
+    g0``.  The weight step minimizes the sum of both constraint blocks;
+    convergence requires both residuals below the tolerance.  An empty
+    sidelobe operator reproduces :func:`run_wosc` exactly.
     """
-    if ops.Q.shape[1] and cfg.gamma is None:
-        raise DomainError("sidelobe-constrained run requires gamma")
-    return _run(ops.P, ops.Q, cfg, callback)
+    if gamma is None or not gamma > 0:
+        raise DomainError("sidelobe-constrained run requires a positive gamma")
+    return _run(ops.P, ops.Q, cfg, gamma, callback)

@@ -66,7 +66,7 @@ def export_weights(result: SynthesisResult, path) -> None:
 def export_history(history: AdmmHistory, path) -> None:
     """Per-iteration CSV trace of the run."""
     lines = [
-        "iter,g0_amp,g0_dbi,residual_ml,residual_sl,rho1,rho2,dual_inc_1,dual_inc_2"
+        "iter,g0_amp,g0_dbi,residual_ml,residual_sl,rho,dual_inc_1,dual_inc_2"
     ]
     for i in range(len(history)):
         lines.append(
@@ -77,8 +77,7 @@ def export_history(history: AdmmHistory, path) -> None:
                     f"{amplitude_to_dbi(history.g0_amp[i]):.6f}",
                     f"{history.residual_ml[i]:.12g}",
                     f"{history.residual_sl[i]:.12g}",
-                    f"{history.rho1[i]:.12g}",
-                    f"{history.rho2[i]:.12g}",
+                    f"{history.rho[i]:.12g}",
                     f"{history.dual_inc_1[i]:.12g}",
                     f"{history.dual_inc_2[i]:.12g}",
                 )
@@ -119,12 +118,11 @@ def round_significant(value, digits: int = 12):
 
 
 def summary_payload(
-    resolved_config: dict, result: SynthesisResult, wall_ms: float, seed=None
+    resolved_config: dict, result: SynthesisResult, wall_ms: float
 ) -> dict:
     """Summary dictionary with the fully resolved configuration."""
     payload = {
         "config": resolved_config,
-        "seed": seed,
         "metrics": {
             "g0_dbi": result.g0_dbi,
             "admm_g0_dbi": result.admm_g0_dbi,

@@ -37,6 +37,8 @@ __all__ = [
 _BETA_CUTOFF = 1e-14
 _WIDTH_FACTOR = 1e-14
 _SECULAR_STEPS = 300
+# A secular root is certified once |f(nu)| falls to this.
+_SECULAR_TOL = 1e-12
 # OpenBLAS runs a complex GEMV on its thread pool once m * n reaches this.
 _GEMV_THREADING_SIZE = 4096
 # Rows per block of a NoTrans product; a multiple of the kernel's 4-row groups.
@@ -63,15 +65,10 @@ def _realify_operator(op: NDArray[np.complex128]) -> NDArray[np.float64]:
 
     Satisfies ``block^T xt = complex_to_real(op^H x)`` for ``xt =
     complex_to_real(x)``, so stacked real least squares reproduces the
-    complex residual norms exactly.
+    complex residual norms exactly.  For a Hermitian ``h = P P^H`` the block
+    matrix equals ``Pt @ Pt.T`` with ``Pt`` the block matrix of ``P``.
     """
     re, im = op.real, op.imag
-    return np.block([[re, -im], [im, re]])
-
-
-def _realify_hermitian(h: NDArray[np.complex128]) -> NDArray[np.float64]:
-    """Realified form of a Hermitian matrix; equals ``Pt @ Pt.T`` for h = P P^H."""
-    re, im = h.real, h.imag
     return np.block([[re, -im], [im, re]])
 
 
@@ -80,37 +77,30 @@ def realify(
     d,
     q: NDArray[np.complex128] | None = None,
     d2=None,
-    weight_ml: float = 1.0,
-    weight_sl: float = 1.0,
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Stacked real operator and target for the sphere least-squares step.
 
-    Columns of the mainlobe block are scaled by sqrt(weight_ml) and the
-    optional sidelobe block by sqrt(weight_sl), so that
+    The optional sidelobe block is stacked beside the mainlobe block, so that
 
-        ||M^T xt - dt||^2 = weight_ml ||P^H x - d||^2
-                          + weight_sl ||Q^H x - d2||^2.
-
-    Pass the reciprocals of the penalty parameters as weights to make the
-    stacked problem match the augmented Lagrangian exactly.
+        ||M^T xt - dt||^2 = ||P^H x - d||^2 + ||Q^H x - d2||^2.
     """
     p = np.asarray(p, dtype=complex)
     d = np.asarray(d, dtype=complex)
     if p.ndim != 2 or d.shape != (p.shape[1],):
         raise DomainError("operator/target dimensions are inconsistent")
-    blocks = [np.sqrt(weight_ml) * _realify_operator(p)]
-    targets = [np.sqrt(weight_ml) * complex_to_real(d)]
+    blocks = [_realify_operator(p)]
+    targets = [complex_to_real(d)]
     if q is not None and q.size:
         q = np.asarray(q, dtype=complex)
         d2 = np.asarray(d2, dtype=complex)
         if q.ndim != 2 or q.shape[0] != p.shape[0] or d2.shape != (q.shape[1],):
             raise DomainError("sidelobe operator/target dimensions are inconsistent")
-        blocks.append(np.sqrt(weight_sl) * _realify_operator(q))
-        targets.append(np.sqrt(weight_sl) * complex_to_real(d2))
+        blocks.append(_realify_operator(q))
+        targets.append(complex_to_real(d2))
     return np.hstack(blocks), np.concatenate(targets)
 
 
-def secular_bisect(lambdas, beta, tol: float = 1e-12) -> float:
+def secular_bisect(lambdas, beta) -> float:
     """Smallest root of ``sum_n (beta_n / (nu - lambda_n))^2 = 1``.
 
     The root is bracketed by
@@ -121,7 +111,7 @@ def secular_bisect(lambdas, beta, tol: float = 1e-12) -> float:
     over the components with nonzero beta (M is their count; the bound
     derivation only sees components that contribute to the sum).  Bisection
     is accelerated with Newton steps kept inside the shrinking bracket and
-    stops at ``|f(nu)| <= tol`` or bracket width ``1e-14 (1 + |nu|)``.  A
+    stops at ``|f(nu)| <= 1e-12`` or bracket width ``1e-14 (1 + |nu|)``.  A
     root not certified by either test within the step budget raises
     :class:`NumericalError`.
     """
@@ -161,14 +151,14 @@ def secular_bisect(lambdas, beta, tol: float = 1e-12) -> float:
     if not isfinite(f_upper):
         upper -= nudge
         f_upper = secular_f(upper)
-    if f_lower > tol or f_upper < -tol:
+    if f_lower > _SECULAR_TOL or f_upper < -_SECULAR_TOL:
         raise NumericalError(
             f"secular bracket invalid: f({lower:.6e}) = {f_lower:.3e}, "
             f"f({upper:.6e}) = {f_upper:.3e}"
         )
-    if abs(f_lower) <= tol:
+    if abs(f_lower) <= _SECULAR_TOL:
         return lower
-    if abs(f_upper) <= tol:
+    if abs(f_upper) <= _SECULAR_TOL:
         return upper
 
     lo, hi = lower, upper
@@ -176,7 +166,7 @@ def secular_bisect(lambdas, beta, tol: float = 1e-12) -> float:
     for _ in range(_SECULAR_STEPS):
         f_nu = secular_f(nu)
         finite = isfinite(f_nu)
-        if finite and abs(f_nu) <= tol:
+        if finite and abs(f_nu) <= _SECULAR_TOL:
             return nu
         if not finite or f_nu > 0:
             hi = nu
@@ -213,7 +203,6 @@ def _unit_coefficients(
     lambdas: NDArray[np.float64],
     bottom: NDArray[np.bool_],
     beta: NDArray[np.float64],
-    tol: float,
 ) -> NDArray[np.float64]:
     """Coefficients of the constrained minimizer in the Gram eigenbasis.
 
@@ -236,16 +225,14 @@ def _unit_coefficients(
             alpha[mask] = b / gaps
             alpha[0] += np.sqrt(1.0 - residual_sum)
             return alpha
-    nu = secular_bisect(lam, b, tol)
+    nu = secular_bisect(lam, b)
     denom = lam - nu
     denom = np.where(denom > 0, denom, np.finfo(float).tiny)
     alpha[mask] = b / denom
     return alpha / np.linalg.norm(alpha)
 
 
-def solve_sphere_lsq(
-    m: NDArray[np.float64], d_stacked, secular_tol: float = 1e-12
-) -> NDArray[np.float64]:
+def solve_sphere_lsq(m: NDArray[np.float64], d_stacked) -> NDArray[np.float64]:
     """Global minimizer of ``||m^T x - d||^2`` over real unit vectors x.
 
     Degenerate targets (``m^T d`` in the Gram kernel, including d = 0) fall
@@ -261,7 +248,7 @@ def solve_sphere_lsq(
     gram = 0.5 * (gram + gram.T)
     lambdas, u = np.linalg.eigh(gram)
     beta = u.T @ (m @ d)
-    alpha = _unit_coefficients(lambdas, _bottom_mask(lambdas), beta, secular_tol)
+    alpha = _unit_coefficients(lambdas, _bottom_mask(lambdas), beta)
     x = u @ alpha
     return x / np.linalg.norm(x)
 
@@ -324,59 +311,31 @@ class RowBlockedProduct:
 class SphereSolver:
     """Reusable sphere least-squares solver for fixed region operators.
 
-    The Gram eigendecomposition depends only on the operators and the ratio
-    of the block weights, so a run whose penalties decay by a common factor
-    reuses one factorization across all iterations.
+    The Gram matrix ``P P^H (+ Q Q^H)`` depends on the operators alone, so
+    its eigensystem is computed once, at construction, and every solve
+    reuses it.
     """
 
     def __init__(
         self,
         p: NDArray[np.complex128],
         q: NDArray[np.complex128] | None = None,
-        secular_tol: float = 1e-12,
     ):
         self._p = np.asarray(p, dtype=complex)
         q = None if q is None or q.size == 0 else np.asarray(q, dtype=complex)
-        self._q = q
         self._q_product = RowBlockedProduct(q) if q is not None else None
-        self._tol = secular_tol
-        self._gram_p = _realify_hermitian(self._p @ self._p.conj().T)
-        self._gram_q = (
-            _realify_hermitian(q @ q.conj().T) if q is not None else None
-        )
-        self._ratio: float | None = None
-        self._lambdas: NDArray[np.float64] | None = None
-        self._u: NDArray[np.float64] | None = None
-        self._bottom: NDArray[np.bool_] | None = None
+        gram = _realify_operator(self._p @ self._p.conj().T)
+        if q is not None:
+            gram += _realify_operator(q @ q.conj().T)
+        self._lambdas, self._u = np.linalg.eigh(gram)
+        self._bottom = _bottom_mask(self._lambdas)
 
-    def _eigensystem(self, ratio: float):
-        if (
-            self._lambdas is None
-            or self._ratio is None
-            or abs(ratio - self._ratio) > 1e-12 * max(abs(ratio), 1.0)
-        ):
-            gram = self._gram_p.copy()
-            if self._gram_q is not None:
-                gram += ratio * self._gram_q
-            self._lambdas, self._u = np.linalg.eigh(gram)
-            self._bottom = _bottom_mask(self._lambdas)
-            self._ratio = ratio
-        return self._lambdas, self._u, self._bottom
-
-    def solve(
-        self,
-        d1,
-        d2=None,
-        weight_ml: float = 1.0,
-        weight_sl: float = 1.0,
-    ) -> NDArray[np.complex128]:
-        """Unit-norm complex minimizer of the weighted stacked least squares."""
-        ratio = weight_sl / weight_ml if self._q is not None else 0.0
-        lambdas, u, bottom = self._eigensystem(ratio)
+    def solve(self, d1, d2=None) -> NDArray[np.complex128]:
+        """Unit-norm complex minimizer of the stacked least squares."""
         b = self._p @ np.asarray(d1, dtype=complex)
-        if self._q is not None:
-            b = b + ratio * self._q_product(np.asarray(d2, dtype=complex))
-        beta = u.T @ complex_to_real(b)
-        alpha = _unit_coefficients(lambdas, bottom, beta, self._tol)
-        x = u @ alpha
+        if self._q_product is not None:
+            b = b + self._q_product(np.asarray(d2, dtype=complex))
+        beta = self._u.T @ complex_to_real(b)
+        alpha = _unit_coefficients(self._lambdas, self._bottom, beta)
+        x = self._u @ alpha
         return real_to_complex(x / np.linalg.norm(x))

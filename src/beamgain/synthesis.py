@@ -187,8 +187,7 @@ def synthesize(problem: SynthesisProblem) -> SynthesisResult:
     if constrained:
         if not ops.Q.shape[1]:
             raise DomainError("sidelobe constraint requested but region is empty")
-        cfg = replace(problem.admm, gamma=gamma_from_dsll(problem.dsll_db))
-        state = run_wsc(ops, cfg)
+        state = run_wsc(ops, problem.admm, gamma_from_dsll(problem.dsll_db))
     else:
         state = run_wosc(ops, problem.admm)
     weights_effective = solve_triangular(ops.C, state.x, lower=False)

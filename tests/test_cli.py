@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -49,6 +50,8 @@ class TestSynthCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["metrics"]["converged"] is True
         assert summary["config"]["admm"]["rho_decay"] == 0.99
+        assert set(summary["config"]["admm"]) == {f.name for f in fields(AdmmConfig)}
+        assert "seed" not in summary
         assert (out / "weights.csv").exists()
         assert (out / "history.csv").exists()
 
@@ -75,11 +78,22 @@ class TestSynthCommand:
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
+        problem = {"beam_center_deg": 0, "beamwidth_deg": 20}
         path.write_text(json.dumps({
             "geometry": {"fixture": "ula41"},
-            "problem": {"beam_center_deg": 0, "beamwidth_deg": 20, "bogus": 1},
+            "problem": {**problem, "bogus": 1},
         }))
         assert main(["synth", "--config", str(path)]) == 2
+        # admm keys that once existed, each at a value it used to accept
+        removed = {"rho2_init": 1500.0, "residual_tol": 1e-4,
+                   "secular_tol": 1e-12, "rho_floor": 1e-3}
+        for key, value in removed.items():
+            path.write_text(json.dumps({
+                "geometry": {"fixture": "ula41"},
+                "problem": problem,
+                "admm": {key: value},
+            }))
+            assert main(["synth", "--config", str(path)]) == 2, key
 
     def test_invalid_parameter_exit_2(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -119,8 +119,8 @@ def small_wsc_instance(rng):
     bw = 2.0 * int(rng.integers(8, 20))
     ml, sl = assemble_regions(float(rng.integers(-20, 21)), bw, 4.0, 2.0)
     ops = build_gain_operators(geometry, ml, sl)
-    cfg = AdmmConfig(rho_init=500.0, iter_max=300, gamma=10.0 ** rng.uniform(-2.5, -1.0))
-    return ops, run_wsc(ops, cfg).x
+    cfg = AdmmConfig(rho_init=500.0, iter_max=300)
+    return ops, run_wsc(ops, cfg, 10.0 ** rng.uniform(-2.5, -1.0)).x
 
 
 class TestDualCertificate:

@@ -55,12 +55,11 @@ class TestRealify:
         q = rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5))
         d1 = rng.normal(size=3) + 1j * rng.normal(size=3)
         d2 = rng.normal(size=5) + 1j * rng.normal(size=5)
-        w1, w2 = 1.0 / 7.0, 1.0 / 3.0
-        m, dt = realify(p, d1, q, d2, weight_ml=w1, weight_sl=w2)
+        m, dt = realify(p, d1, q, d2)
         x = rng.normal(size=4) + 1j * rng.normal(size=4)
         lhs = np.linalg.norm(m.T @ complex_to_real(x) - dt) ** 2
-        rhs = w1 * np.linalg.norm(p.conj().T @ x - d1) ** 2
-        rhs += w2 * np.linalg.norm(q.conj().T @ x - d2) ** 2
+        rhs = np.linalg.norm(p.conj().T @ x - d1) ** 2
+        rhs += np.linalg.norm(q.conj().T @ x - d2) ** 2
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_round_trip(self, rng):
@@ -180,15 +179,30 @@ class TestSphereSolver:
         p = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
         q = rng.normal(size=(3, 7)) + 1j * rng.normal(size=(3, 7))
         solver = SphereSolver(p, q)
-        for w1, w2 in ((1.0, 1.0), (1.0 / 5.0, 1.0 / 20.0), (2.0, 0.25)):
-            d1 = rng.normal(size=4) + 1j * rng.normal(size=4)
-            d2 = rng.normal(size=7) + 1j * rng.normal(size=7)
-            x = solver.solve(d1, d2, weight_ml=w1, weight_sl=w2)
-            m, dt = realify(p, d1, q, d2, weight_ml=w1, weight_sl=w2)
+        for scale in (1.0, 0.2, 5.0):
+            d1 = scale * (rng.normal(size=4) + 1j * rng.normal(size=4))
+            d2 = scale * (rng.normal(size=7) + 1j * rng.normal(size=7))
+            x = solver.solve(d1, d2)
+            m, dt = realify(p, d1, q, d2)
             xt = solve_sphere_lsq(m, dt)
             cost_cached = np.linalg.norm(m.T @ complex_to_real(x) - dt) ** 2
             cost_direct = np.linalg.norm(m.T @ xt - dt) ** 2
             assert cost_cached == pytest.approx(cost_direct, rel=1e-9, abs=1e-12)
+
+    def test_solve_reuses_the_eigensystem(self, rng, monkeypatch):
+        p = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
+        q = rng.normal(size=(5, 9)) + 1j * rng.normal(size=(5, 9))
+        solvers = [SphereSolver(p), SphereSolver(p, q)]
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("eigh called after construction")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        for _ in range(10):
+            d1 = rng.normal(size=4) + 1j * rng.normal(size=4)
+            d2 = rng.normal(size=9) + 1j * rng.normal(size=9)
+            for x in (solvers[0].solve(d1), solvers[1].solve(d1, d2)):
+                assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
 
 
 # Computes the blocked Q d on the nonuniform41 operators in a fresh process and

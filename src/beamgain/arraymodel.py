@@ -26,6 +26,7 @@ from .errors import (
     IngestionError,
     NumericalError,
 )
+from .sphere import RowBlockedProduct
 
 __all__ = [
     "AngularGrid",
@@ -331,7 +332,9 @@ def power_gain_pattern(
     """Power gain in dBi at the requested angles for effective weights.
 
     ``G(theta) = 2 |a(theta)^H w|^2 / (w^H A w)``; invariant under scaling
-    of ``w`` by any nonzero complex constant.
+    of ``w`` by any nonzero complex constant.  The product ``a(theta)^H w``
+    runs in row blocks that OpenBLAS does not thread, with the bits of the
+    plain product.
     """
     w = np.asarray(weights, dtype=complex)
     if w.shape != (geometry.n_elements,):
@@ -342,7 +345,7 @@ def power_gain_pattern(
     if isinstance(theta_deg, AngularGrid):
         theta_deg = theta_deg.angles
     steer = steering_matrix(geometry, theta_deg)
-    numerator = 2.0 * np.abs(steer.conj().T @ w) ** 2
+    numerator = 2.0 * np.abs(RowBlockedProduct(steer.conj().T)(w)) ** 2
     denominator = np.real(w.conj() @ (a @ w))
     gain = numerator / denominator
     return 10.0 * np.log10(np.maximum(gain, _DB_FLOOR))

@@ -138,14 +138,13 @@ def _initial_state(n: int, l_ml: int, l_sl: int, rho: float) -> AdmmState:
     )
 
 
-def _run(p, q, cfg: AdmmConfig, gamma, callback=None) -> AdmmState:
+def _run(p, q, cfg: AdmmConfig, gamma, solver: SphereSolver, callback=None) -> AdmmState:
     n, l_ml = p.shape
     if l_ml == 0:
         raise DomainError("mainlobe operator must have at least one column")
     q = None if q is None or q.shape[1] == 0 else q
     l_sl = 0 if q is None else q.shape[1]
 
-    solver = SphereSolver(p, q)
     ph = np.ascontiguousarray(p.conj().T)
     qh = RowBlockedProduct(np.ascontiguousarray(q.conj().T)) if q is not None else None
     state = _initial_state(n, l_ml, l_sl, cfg.rho_init)
@@ -192,24 +191,40 @@ def _run(p, q, cfg: AdmmConfig, gamma, callback=None) -> AdmmState:
     return state
 
 
-def run_wosc(ops: GainOperators, cfg: AdmmConfig, callback=None) -> AdmmState:
+def run_wosc(
+    ops: GainOperators, cfg: AdmmConfig, callback=None, solver: SphereSolver | None = None
+) -> AdmmState:
     """Mainlobe-only loop: gain levels, sphere weight update, dual step.
 
     Starts from zero weights and duals; the targets of the sphere step are
     ``g - rho u``.  Stops when ``max|P^H x - g|`` falls below the residual
-    tolerance or at the iteration cap, whichever first.
+    tolerance or at the iteration cap, whichever first.  ``solver`` is a
+    :class:`SphereSolver` already built for ``ops.P``; one is built here when
+    it is omitted.
     """
-    return _run(ops.P, None, cfg, None, callback)
+    if solver is None:
+        solver = SphereSolver(ops.P)
+    return _run(ops.P, None, cfg, None, solver, callback)
 
 
-def run_wsc(ops: GainOperators, cfg: AdmmConfig, gamma: float, callback=None) -> AdmmState:
+def run_wsc(
+    ops: GainOperators,
+    cfg: AdmmConfig,
+    gamma: float,
+    callback=None,
+    solver: SphereSolver | None = None,
+) -> AdmmState:
     """Sidelobe-constrained loop with the combined sphere update.
 
     ``gamma`` is the sidelobe power ratio of the cap ``|Q^H x| <= sqrt(gamma)
     g0``.  The weight step minimizes the sum of both constraint blocks;
     convergence requires both residuals below the tolerance.  An empty
-    sidelobe operator reproduces :func:`run_wosc` exactly.
+    sidelobe operator reproduces :func:`run_wosc` exactly.  ``solver`` is a
+    :class:`SphereSolver` already built for ``ops.P`` and ``ops.Q``; one is
+    built here when it is omitted.
     """
     if gamma is None or not gamma > 0:
         raise DomainError("sidelobe-constrained run requires a positive gamma")
-    return _run(ops.P, ops.Q, cfg, gamma, callback)
+    if solver is None:
+        solver = SphereSolver(ops.P, ops.Q)
+    return _run(ops.P, ops.Q, cfg, gamma, solver, callback)

@@ -17,14 +17,17 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.linalg import solve_triangular
 
+from . import engine
 from .arraymodel import (
     AngularGrid,
     ArrayGeometry,
+    GainOperators,
     build_gain_operators,
     power_gain_pattern,
 )
-from .engine import AdmmConfig, AdmmHistory, run_wosc, run_wsc
+from .engine import AdmmConfig, AdmmHistory, AdmmState, run_wosc, run_wsc
 from .errors import BeamgainError, DomainError
+from .sphere import SphereSolver
 
 __all__ = [
     "SweepRow",
@@ -165,12 +168,19 @@ def _full_span_grid(resolution: float) -> NDArray[np.float64]:
     return -90.0 + resolution * np.arange(steps + 1)
 
 
-def synthesize(problem: SynthesisProblem) -> SynthesisResult:
-    """Run the selected loop and assemble weights, pattern, and metrics.
+@dataclass(frozen=True)
+class _SetUp:
+    """A problem with its regions, operators and sphere solver built."""
 
-    Non-convergence within the iteration budget is reported through the
-    ``converged`` flag, not an error, so sweeps can proceed.
-    """
+    problem: SynthesisProblem
+    mainlobe: AngularGrid
+    sidelobe: tuple[AngularGrid, ...]
+    ops: GainOperators
+    solver: SphereSolver
+
+
+def _set_up(problem: SynthesisProblem) -> _SetUp:
+    """Regions, operators and the sphere solver (its Gram and ``eigh``)."""
     mainlobe, sidelobe = assemble_regions(
         problem.beam_center_deg,
         problem.beamwidth_deg,
@@ -184,12 +194,29 @@ def synthesize(problem: SynthesisProblem) -> SynthesisResult:
         sidelobe if constrained else (),
         quadrature_order=problem.quadrature_order,
     )
-    if constrained:
-        if not ops.Q.shape[1]:
-            raise DomainError("sidelobe constraint requested but region is empty")
-        state = run_wsc(ops, problem.admm, gamma_from_dsll(problem.dsll_db))
-    else:
-        state = run_wosc(ops, problem.admm)
+    if constrained and not ops.Q.shape[1]:
+        raise DomainError("sidelobe constraint requested but region is empty")
+    # looked up at call time, so that a wrapper installed on the engine's
+    # name sees every solver built
+    solver = engine.SphereSolver(ops.P, ops.Q if constrained else None)
+    return _SetUp(problem, mainlobe, sidelobe, ops, solver)
+
+
+def _iterate(setup: _SetUp) -> AdmmState:
+    """The ADMM loop alone, on the prebuilt solver."""
+    problem = setup.problem
+    if problem.dsll_db is not None:
+        return run_wsc(
+            setup.ops, problem.admm, gamma_from_dsll(problem.dsll_db),
+            solver=setup.solver,
+        )
+    return run_wosc(setup.ops, problem.admm, solver=setup.solver)
+
+
+def _finish(setup: _SetUp, state: AdmmState) -> SynthesisResult:
+    """Weights, patterns and metrics of a finished loop."""
+    problem, ops = setup.problem, setup.ops
+    mainlobe, sidelobe = setup.mainlobe, setup.sidelobe
     weights_effective = solve_triangular(ops.C, state.x, lower=False)
     weights_physical = weights_effective / np.sqrt(problem.geometry.efficiencies)
 
@@ -223,6 +250,22 @@ def synthesize(problem: SynthesisProblem) -> SynthesisResult:
     )
 
 
+def synthesize(problem: SynthesisProblem) -> SynthesisResult:
+    """Run the selected loop and assemble weights, pattern, and metrics.
+
+    Three steps run in order: set-up (regions, operators, and the sphere
+    solver's Gram eigensystem), the ADMM loop, and the finish (weights,
+    patterns and metrics).  The set-up holds the run's largest BLAS and
+    LAPACK calls, which OpenBLAS spreads over its thread pool; the loop's
+    sidelobe products and the pattern products run in row blocks below
+    OpenBLAS's threading size.  Non-convergence within the iteration budget
+    is reported through the ``converged`` flag, not an error, so sweeps can
+    proceed.
+    """
+    setup = _set_up(problem)
+    return _finish(setup, _iterate(setup))
+
+
 @dataclass(frozen=True)
 class SweepRow:
     """One scanning-sweep entry; ``error`` is set when the run failed."""
@@ -237,15 +280,12 @@ class SweepRow:
     error: str | None = None
 
 
-def _sweep_one(problem: SynthesisProblem, center: float) -> SweepRow:
-    start = time.perf_counter()
+def _sweep_row(center: float, start: float, solve) -> SweepRow:
+    """Row of ``solve()``, timed from ``start``; a model error becomes an error row."""
     try:
-        result = synthesize(replace(problem, beam_center_deg=center))
+        result = solve()
     except BeamgainError as exc:
-        wall = 1e3 * (time.perf_counter() - start)
-        return SweepRow(center, float("nan"), None, float("nan"), 0, False, wall,
-                        error=str(exc))
-    wall = 1e3 * (time.perf_counter() - start)
+        return _error_row(center, exc, start)
     return SweepRow(
         center,
         result.g0_dbi,
@@ -253,8 +293,65 @@ def _sweep_one(problem: SynthesisProblem, center: float) -> SweepRow:
         result.ripple_db,
         result.iterations,
         result.converged,
-        wall,
+        1e3 * (time.perf_counter() - start),
     )
+
+
+def _error_row(center: float, exc: BeamgainError, start: float) -> SweepRow:
+    wall = 1e3 * (time.perf_counter() - start)
+    return SweepRow(center, float("nan"), None, float("nan"), 0, False, wall,
+                    error=str(exc))
+
+
+def _sweep_one(problem: SynthesisProblem, center: float) -> SweepRow:
+    return _sweep_row(
+        center,
+        time.perf_counter(),
+        lambda: synthesize(replace(problem, beam_center_deg=center)),
+    )
+
+
+def _sweep_chunk(problem: SynthesisProblem, centers: list[float], lock) -> list[SweepRow]:
+    """Rows for ``centers``: every set-up first, under ``lock``, then each loop.
+
+    The set-ups make the chunk's multithreaded BLAS calls; holding ``lock``
+    through them keeps the other workers' set-ups from running at the same
+    time, and the loops and finishes that follow wake no BLAS thread.  A center whose
+    set-up, loop or finish raises a model error becomes an error row.
+    ``wall_ms`` is the center's own set-up, loop and finish time, without
+    the wait for the lock.
+    """
+    prepared = []
+    with lock:
+        for center in centers:
+            start = time.perf_counter()
+            try:
+                setup = _set_up(replace(problem, beam_center_deg=center))
+            except BeamgainError as exc:
+                setup = exc
+            prepared.append((setup, time.perf_counter() - start))
+    rows = []
+    for center, (setup, setup_s) in zip(centers, prepared):
+        start = time.perf_counter() - setup_s
+        if isinstance(setup, BeamgainError):
+            rows.append(_error_row(center, setup, start))
+        else:
+            rows.append(_sweep_row(center, start, lambda: _finish(setup, _iterate(setup))))
+    return rows
+
+
+# The set-up lock of a forked sweep worker, inherited from the parent through
+# the pool's initializer; it is set only in the worker processes.
+_worker_lock = None
+
+
+def _init_worker(lock) -> None:
+    global _worker_lock
+    _worker_lock = lock
+
+
+def _sweep_chunk_in_worker(problem: SynthesisProblem, centers: list[float]) -> list[SweepRow]:
+    return _sweep_chunk(problem, centers, _worker_lock)
 
 
 def _cpu_count() -> int:
@@ -269,10 +366,19 @@ def scan_sweep(problem: SynthesisProblem, centers) -> list[SweepRow]:
 
     The centers are solved in forked worker processes, one per CPU, or in
     this process when there would be fewer than two workers or the platform
-    cannot fork.  Forked workers start from the parent's loaded modules;
-    spawned ones would import numpy, scipy and beamgain again for each
-    sweep.  The pool modules are imported here so that ``import beamgain``
-    does not pay for them.
+    cannot fork.  Worker ``k`` of ``w`` takes the fixed chunk
+    ``centers[k::w]``.  It sets up every center of its chunk first (regions,
+    operators and the sphere solver's Gram ``eigh``, the calls OpenBLAS
+    threads) while holding a lock shared by the workers, then runs each
+    center's loop and finish.  So one worker at a time makes threaded BLAS
+    calls, and the loops and finishes wake no BLAS thread.  A row's
+    ``wall_ms`` is its center's set-up, loop and finish time, not the wait
+    for the lock.
+
+    Forked workers start from the parent's loaded modules; spawned ones
+    would import numpy, scipy and beamgain again for each sweep.  The pool
+    modules are imported here so that ``import beamgain`` does not pay for
+    them.
     """
     import multiprocessing
 
@@ -283,5 +389,13 @@ def scan_sweep(problem: SynthesisProblem, centers) -> list[SweepRow]:
     from concurrent.futures import ProcessPoolExecutor
 
     context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(workers, mp_context=context) as pool:
-        return list(pool.map(_sweep_one, [problem] * len(centers), centers))
+    chunks = [centers[k::workers] for k in range(workers)]
+    rows: list[SweepRow] = [None] * len(centers)
+    with ProcessPoolExecutor(
+        workers, mp_context=context, initializer=_init_worker, initargs=(context.Lock(),)
+    ) as pool:
+        for k, chunk_rows in enumerate(
+            pool.map(_sweep_chunk_in_worker, [problem] * workers, chunks)
+        ):
+            rows[k::workers] = chunk_rows
+    return rows

@@ -15,6 +15,7 @@ from beamgain import (
     nonuniform41,
     secular_bisect,
     solve_sphere_lsq,
+    steering_matrix,
 )
 from beamgain import sphere
 from beamgain.oracles import oracle_secular_scan, oracle_sphere, secular_cost
@@ -205,36 +206,45 @@ class TestSphereSolver:
                 assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
 
 
-# Computes the blocked Q d on the nonuniform41 operators in a fresh process and
+# Computes the blocked Q d on the nonuniform41 operators, and the blocked
+# pattern product a(theta)^H w on the full-span grid, in a fresh process and
 # prints the bytes in hex, so that the BLAS thread count can be set before
 # numpy loads OpenBLAS.
 _CHILD_PRODUCT = """
 import numpy as np
-from beamgain import assemble_regions, build_gain_operators, nonuniform41
+from beamgain import assemble_regions, build_gain_operators, nonuniform41, steering_matrix
 from beamgain.sphere import RowBlockedProduct
 
 rng = np.random.default_rng(7)
+operands = []
 for center in (0.0, 0.25):
     ml, sl = assemble_regions(center, 20.0, 3.0, 0.5)
-    q = build_gain_operators(nonuniform41(), ml, sl).Q
-    product = RowBlockedProduct(q)
+    operands.append(build_gain_operators(nonuniform41(), ml, sl).Q)
+operands.append(steering_matrix(nonuniform41(), -90.0 + 0.5 * np.arange(361)).conj().T)
+for op in operands:
+    product = RowBlockedProduct(op)
     for _ in range(20):
-        d = rng.normal(size=q.shape[1]) + 1j * rng.normal(size=q.shape[1])
+        d = rng.normal(size=op.shape[1]) + 1j * rng.normal(size=op.shape[1])
         print(product(d).tobytes().hex())
 """
 
 
 class TestRowBlockedProduct:
-    @pytest.mark.parametrize("center", [0.0, 0.25])
-    def test_adjoint_product_equals_plain(self, rng, center):
-        mainlobe, sidelobe = assemble_regions(center, 20.0, 3.0, 0.5)
-        q = build_gain_operators(nonuniform41(), mainlobe, sidelobe).Q
-        qh = np.ascontiguousarray(q.conj().T)
-        assert qh.shape[0] == {0.0: 310, 0.25: 309}[center]
-        product = RowBlockedProduct(qh)
+    @pytest.mark.parametrize("operand", [0.0, 0.25, "steering"])
+    def test_adjoint_product_equals_plain(self, rng, operand):
+        if operand == "steering":
+            # a(theta)^H on the full-span pattern grid, as the pattern pass uses it
+            op = steering_matrix(nonuniform41(), -90.0 + 0.5 * np.arange(361)).conj().T
+            assert op.shape == (361, 41) and op.flags.f_contiguous
+        else:
+            mainlobe, sidelobe = assemble_regions(operand, 20.0, 3.0, 0.5)
+            q = build_gain_operators(nonuniform41(), mainlobe, sidelobe).Q
+            op = np.ascontiguousarray(q.conj().T)
+            assert op.shape[0] == {0.0: 310, 0.25: 309}[operand]
+        product = RowBlockedProduct(op)
         for _ in range(200):
             x = rng.normal(size=41) + 1j * rng.normal(size=41)
-            assert np.array_equal(product(x), qh @ x)
+            assert np.array_equal(product(x), op @ x)
 
     def test_forward_product_independent_of_thread_count(self):
         src = str(Path(sphere.__file__).resolve().parents[1])
@@ -249,5 +259,5 @@ class TestRowBlockedProduct:
                 env=env, capture_output=True, text=True, timeout=120, check=True,
             )
             outputs.append(done.stdout)
-        assert len(outputs[0].split()) == 40
+        assert len(outputs[0].split()) == 60
         assert outputs[0] == outputs[1]

@@ -11,9 +11,11 @@ from beamgain import (
     assemble_regions,
     compute_metrics,
     gamma_from_dsll,
+    nonuniform41,
     scan_sweep,
     synthesize,
 )
+from beamgain import synthesis
 from conftest import random_geometry
 
 
@@ -181,13 +183,24 @@ class TestScanSweep:
         assert rows[0].g0_dbi == pytest.approx(direct.g0_dbi, abs=1e-9)
         assert rows[0].converged == direct.converged
 
-    def test_rows_in_center_order_match_synthesize(self):
-        problem = SynthesisProblem(
-            geometry=ula(8), beam_center_deg=0.0, beamwidth_deg=20.0,
-            resolution_deg=1.0, dsll_db=-15.0,
-            admm=AdmmConfig(rho_init=200.0, iter_max=100),
-        )
-        centers = [12.0, -20.0, 0.0, 5.0]
+    @pytest.mark.parametrize("case", ["ula8", "nonuniform41", "in-process"])
+    def test_rows_in_center_order_match_synthesize(self, monkeypatch, case):
+        if case == "nonuniform41":
+            # Q is 41 x 310: the blocked products and the set-up lock run
+            problem = SynthesisProblem(
+                geometry=nonuniform41(), beam_center_deg=0.0, beamwidth_deg=20.0,
+                dsll_db=-20.0, admm=AdmmConfig(rho_init=2000.0, iter_max=60),
+            )
+            centers = [10.0, -5.0, 0.0, 25.0, 2.5]
+        else:
+            problem = SynthesisProblem(
+                geometry=ula(8), beam_center_deg=0.0, beamwidth_deg=20.0,
+                resolution_deg=1.0, dsll_db=-15.0,
+                admm=AdmmConfig(rho_init=200.0, iter_max=100),
+            )
+            centers = [12.0, -20.0, 0.0, 5.0]
+        if case == "in-process":
+            monkeypatch.setattr(synthesis, "_cpu_count", lambda: 1)
         rows = scan_sweep(problem, centers)
         assert [row.theta_c_deg for row in rows] == centers
         fields = ("g0_dbi", "osll_db", "ripple_db", "iterations", "converged")
@@ -196,6 +209,57 @@ class TestScanSweep:
             assert row.error is None
             for name in fields:
                 assert getattr(row, name) == getattr(direct, name), name
+
+    def test_chunk_sets_up_every_center_before_the_first_loop(self, monkeypatch):
+        calls = []
+
+        class Lock:
+            held = False
+
+            def __enter__(self):
+                assert not self.held
+                self.held = True
+                calls.append("acquire")
+
+            def __exit__(self, *exc):
+                self.held = False
+                calls.append("release")
+
+        def recorded(name, fn):
+            def step(arg, *rest):
+                center = (arg if name == "set_up" else arg.problem).beam_center_deg
+                calls.append((name, center))
+                return fn(arg, *rest)
+            return step
+
+        for name in ("set_up", "iterate", "finish"):
+            monkeypatch.setattr(
+                synthesis, f"_{name}", recorded(name, getattr(synthesis, f"_{name}"))
+            )
+        problem = SynthesisProblem(
+            geometry=ula(9), beam_center_deg=0.0, beamwidth_deg=30.0,
+            admm=AdmmConfig(rho_init=200.0, iter_max=50),
+        )
+        lock = Lock()
+        rows = synthesis._sweep_chunk(problem, [89.0, 0.0, 12.0], lock)
+
+        assert not lock.held
+        assert calls == [
+            "acquire",
+            ("set_up", 89.0), ("set_up", 0.0), ("set_up", 12.0),
+            "release",
+            ("iterate", 0.0), ("finish", 0.0),
+            ("iterate", 12.0), ("finish", 12.0),
+        ]
+        assert [row.theta_c_deg for row in rows] == [89.0, 0.0, 12.0]
+        assert "clipped" in rows[0].error
+        assert np.isnan(rows[0].g0_dbi)
+        for row in rows[1:]:
+            direct = synthesize(replace(problem, beam_center_deg=row.theta_c_deg))
+            assert row.error is None
+            assert row.g0_dbi == direct.g0_dbi
+            assert row.iterations == direct.iterations
+            assert row.wall_ms > 0.0
 
     def test_failure_recorded_sweep_continues(self):
         geom = ula(9)

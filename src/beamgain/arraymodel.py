@@ -26,7 +26,7 @@ from .errors import (
     IngestionError,
     NumericalError,
 )
-from .sphere import RowBlockedProduct
+from .sphere import RowBlockedProduct, one_blas_thread
 
 __all__ = [
     "AngularGrid",
@@ -310,17 +310,25 @@ def build_gain_operators(
     sidelobe: tuple[AngularGrid, ...] = (),
     quadrature_order: int | None = None,
 ) -> GainOperators:
-    """Assemble A, its factor and the mainlobe/sidelobe region operators."""
+    """Assemble A, its factor and the mainlobe/sidelobe region operators.
+
+    The factor, the region operators and the factor check run on one
+    OpenBLAS thread (:func:`beamgain.sphere.one_blas_thread`), which gives
+    the bits of the threaded calls and leaves no BLAS thread spinning after
+    them.  ``A`` keeps the caller's thread count: for tabulated element
+    patterns its quadrature product rounds differently on one thread.
+    """
     a = build_total_power_matrix(geometry, quadrature_order)
-    c = factorize(a)
-    p = build_region_operator(geometry, c, mainlobe)
-    if sidelobe:
-        q = np.hstack([build_region_operator(geometry, c, seg) for seg in sidelobe])
-    else:
-        q = np.zeros((geometry.n_elements, 0), dtype=complex)
-    return GainOperators(
-        A=a, C=c, P=p, Q=q, mainlobe=mainlobe, sidelobe=tuple(sidelobe)
-    )
+    with one_blas_thread():
+        c = factorize(a)
+        p = build_region_operator(geometry, c, mainlobe)
+        if sidelobe:
+            q = np.hstack([build_region_operator(geometry, c, seg) for seg in sidelobe])
+        else:
+            q = np.zeros((geometry.n_elements, 0), dtype=complex)
+        return GainOperators(
+            A=a, C=c, P=p, Q=q, mainlobe=mainlobe, sidelobe=tuple(sidelobe)
+        )
 
 
 def power_gain_pattern(

@@ -17,6 +17,7 @@ import numpy as np
 
 from .engine import AdmmHistory, amplitude_to_dbi
 from .errors import BeamgainError
+from .sphere import blas_threads
 from .synthesis import SweepRow, SynthesisResult
 
 __all__ = [
@@ -120,8 +121,13 @@ def round_significant(value, digits: int = 12):
 def summary_payload(
     resolved_config: dict, result: SynthesisResult, wall_ms: float
 ) -> dict:
-    """Summary dictionary with the fully resolved configuration."""
+    """Summary dictionary with the fully resolved configuration.
+
+    ``blas_threads`` records each OpenBLAS build's thread count, on which
+    the constrained answers depend through the ``Q Q^H`` Gram.
+    """
     payload = {
+        "blas_threads": blas_threads(),
         "config": resolved_config,
         "metrics": {
             "g0_dbi": result.g0_dbi,

@@ -17,6 +17,8 @@ eigenvalue stays below one, no such root exists; the minimizer then sits at
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from math import isfinite
 
 import numpy as np
@@ -27,7 +29,9 @@ from .errors import DomainError, NumericalError
 __all__ = [
     "RowBlockedProduct",
     "SphereSolver",
+    "blas_threads",
     "complex_to_real",
+    "one_blas_thread",
     "real_to_complex",
     "realify",
     "secular_bisect",
@@ -43,6 +47,81 @@ _SECULAR_TOL = 1e-12
 _GEMV_THREADING_SIZE = 4096
 # Rows per block of a NoTrans product; a multiple of the kernel's 4-row groups.
 _NOTRANS_BLOCK_ROWS = 8
+# Each OpenBLAS build by name: an extension module that links it, and the
+# suffix of its exported symbols.
+_OPENBLAS_MODULES = {
+    "numpy": ("numpy.linalg._umath_linalg", "64_"),
+    "scipy": ("scipy.linalg._flapack", ""),
+}
+# name -> (get_num_threads, set_num_threads, config string) of each build
+# found, looked up on first use
+_openblas = None
+# The one_blas_thread blocks open in this process, over all its threads, and
+# the (set_num_threads, count) pairs the first of them saved.
+_one_thread_lock = threading.Lock()
+_one_thread_blocks = 0
+_saved_counts: list = []
+
+
+def _openblas_builds() -> dict:
+    """The OpenBLAS builds found through :data:`_OPENBLAS_MODULES`.
+
+    A build whose module or symbols are missing is left out.  ``ctypes`` is
+    imported here, so that ``import beamgain`` does not pay for it.
+    """
+    global _openblas
+    if _openblas is None:
+        import ctypes
+        import importlib
+
+        found = {}
+        for name, (module, suffix) in _OPENBLAS_MODULES.items():
+            try:
+                lib = ctypes.CDLL(importlib.import_module(module).__file__)
+                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+                put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+                config = getattr(lib, f"scipy_openblas_get_config{suffix}")
+            except (ImportError, OSError, AttributeError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            config.argtypes, config.restype = [], ctypes.c_char_p
+            found[name] = (get, put, config().decode())
+        _openblas = found
+    return _openblas
+
+
+def blas_threads() -> dict[str, int]:
+    """Thread count of each OpenBLAS build found, e.g. ``{"numpy": 2, "scipy": 2}``."""
+    return {name: get() for name, (get, _, _) in _openblas_builds().items()}
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block with every OpenBLAS build found on one thread.
+
+    Each build's count is restored on exit, also when the block raises.  The
+    count is process-wide, so BLAS calls another Python thread makes inside
+    the block run on one thread as well.  Blocks may nest or overlap across
+    threads: the first to open saves the counts, the last to close restores
+    them.
+    """
+    global _one_thread_blocks, _saved_counts
+    with _one_thread_lock:
+        if _one_thread_blocks == 0:
+            builds = _openblas_builds().values()
+            _saved_counts = [(put, get()) for get, put, _ in builds]
+            for put, _ in _saved_counts:
+                put(1)
+        _one_thread_blocks += 1
+    try:
+        yield
+    finally:
+        with _one_thread_lock:
+            _one_thread_blocks -= 1
+            if _one_thread_blocks == 0:
+                for put, count in _saved_counts:
+                    put(count)
 
 
 def complex_to_real(x) -> NDArray[np.float64]:
@@ -293,13 +372,19 @@ class RowBlockedProduct:
     worker then spins; with one solver process per CPU the spinning threads
     starve the solvers.  The blocks (see :func:`_row_cuts`) reproduce the bits
     of the plain product at OpenBLAS's two-thread default, and give those
-    same bits at any thread count.
+    same bits at any thread count.  A product does not pickle: a pickled one
+    arrives with C-ordered copies of its blocks, which round differently.
     """
 
     def __init__(self, a: NDArray[np.complex128]):
         cuts = _row_cuts(a)
         self._rows = a.shape[0]
         self._blocks = [(lo, hi, a[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+
+    def __reduce__(self):
+        raise TypeError(
+            "a RowBlockedProduct must be built in the process that uses it"
+        )
 
     def __call__(self, v: NDArray[np.complex128]) -> NDArray[np.complex128]:
         out = np.empty(self._rows, dtype=complex)
@@ -313,7 +398,11 @@ class SphereSolver:
 
     The Gram matrix ``P P^H (+ Q Q^H)`` depends on the operators alone, so
     its eigensystem is computed once, at construction, and every solve
-    reuses it.
+    reuses it.  ``P P^H``, the sum and ``eigh`` run on one OpenBLAS thread
+    (:func:`one_blas_thread`), which gives the bits of the threaded calls and
+    leaves no BLAS thread spinning beside the loop; ``Q Q^H`` keeps the
+    caller's thread count, because its bits depend on it.  A solver with a
+    sidelobe block does not pickle (see :class:`RowBlockedProduct`).
     """
 
     def __init__(
@@ -324,10 +413,13 @@ class SphereSolver:
         self._p = np.asarray(p, dtype=complex)
         q = None if q is None or q.size == 0 else np.asarray(q, dtype=complex)
         self._q_product = RowBlockedProduct(q) if q is not None else None
-        gram = _realify_operator(self._p @ self._p.conj().T)
-        if q is not None:
-            gram += _realify_operator(q @ q.conj().T)
-        self._lambdas, self._u = np.linalg.eigh(gram)
+        # first, at the caller's thread count: its bits depend on the count
+        q_gram = _realify_operator(q @ q.conj().T) if q is not None else None
+        with one_blas_thread():
+            gram = _realify_operator(self._p @ self._p.conj().T)
+            if q_gram is not None:
+                gram += q_gram
+            self._lambdas, self._u = np.linalg.eigh(gram)
         self._bottom = _bottom_mask(self._lambdas)
 
     def solve(self, d1, d2=None) -> NDArray[np.complex128]:

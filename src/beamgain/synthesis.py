@@ -256,9 +256,13 @@ def synthesize(problem: SynthesisProblem) -> SynthesisResult:
     Three steps run in order: set-up (regions, operators, and the sphere
     solver's Gram eigensystem), the ADMM loop, and the finish (weights,
     patterns and metrics).  The set-up holds the run's largest BLAS and
-    LAPACK calls, which OpenBLAS spreads over its thread pool; the loop's
-    sidelobe products and the pattern products run in row blocks below
-    OpenBLAS's threading size.  Non-convergence within the iteration budget
+    LAPACK calls.  They run on one OpenBLAS thread, except the two whose
+    bits depend on the thread count and which keep the caller's: the
+    sidelobe Gram ``Q Q^H`` and, for tabulated element patterns, the
+    quadrature product of the total-power matrix.  The loop's sidelobe
+    products and the pattern products run in row blocks below OpenBLAS's
+    threading size.  So an unconstrained run on isotropic elements wakes no
+    BLAS thread.  Non-convergence within the iteration budget
     is reported through the ``converged`` flag, not an error, so sweeps can
     proceed.
     """
@@ -314,9 +318,12 @@ def _sweep_one(problem: SynthesisProblem, center: float) -> SweepRow:
 def _sweep_chunk(problem: SynthesisProblem, centers: list[float], lock) -> list[SweepRow]:
     """Rows for ``centers``: every set-up first, under ``lock``, then each loop.
 
-    The set-ups make the chunk's multithreaded BLAS calls; holding ``lock``
-    through them keeps the other workers' set-ups from running at the same
-    time, and the loops and finishes that follow wake no BLAS thread.  A center whose
+    Of the set-ups' BLAS calls only those that keep the caller's thread
+    count run threaded (``Q Q^H``, and the quadrature product of the
+    total-power matrix for tabulated element patterns; see
+    :func:`synthesize`).  Holding ``lock`` through the set-ups keeps the
+    other workers' set-ups from running at the same time, and the loops and
+    finishes that follow wake no BLAS thread.  A center whose
     set-up, loop or finish raises a model error becomes an error row.
     ``wall_ms`` is the center's own set-up, loop and finish time, without
     the wait for the lock.
@@ -368,10 +375,13 @@ def scan_sweep(problem: SynthesisProblem, centers) -> list[SweepRow]:
     this process when there would be fewer than two workers or the platform
     cannot fork.  Worker ``k`` of ``w`` takes the fixed chunk
     ``centers[k::w]``.  It sets up every center of its chunk first (regions,
-    operators and the sphere solver's Gram ``eigh``, the calls OpenBLAS
-    threads) while holding a lock shared by the workers, then runs each
-    center's loop and finish.  So one worker at a time makes threaded BLAS
-    calls, and the loops and finishes wake no BLAS thread.  A row's
+    operators and the sphere solver's Gram ``eigh``) while holding a lock
+    shared by the workers, then runs each center's loop and finish.  Most
+    set-up calls run on one OpenBLAS thread; the lock serializes the two
+    that keep the default count, each set-up's ``Q Q^H`` and, for
+    tabulated element patterns, the quadrature product of the total-power
+    matrix.  So one worker at a time makes threaded BLAS calls, and the
+    loops and finishes wake no BLAS thread.  A row's
     ``wall_ms`` is its center's set-up, loop and finish time, not the wait
     for the lock.
 

@@ -2,6 +2,18 @@ import numpy as np
 import pytest
 
 from beamgain import ArrayGeometry
+from beamgain import sphere
+
+
+def pytest_report_header(config):
+    """Each OpenBLAS build and its thread count; some answers depend on it."""
+    builds = sphere._openblas_builds()
+    if not builds:
+        return "OpenBLAS: no build found"
+    return [
+        f"OpenBLAS ({name}): {build_config}, {get()} threads"
+        for name, (get, _, build_config) in builds.items()
+    ]
 
 
 @pytest.fixture

@@ -8,6 +8,7 @@ import pytest
 from beamgain import AdmmConfig, ArrayGeometry, SynthesisProblem, load_geometry_csv, synthesize
 from beamgain.cli import main
 from beamgain.exports import export_pattern, round_significant
+from beamgain.sphere import blas_threads
 from beamgain.synthesis import SynthesisResult
 
 
@@ -52,6 +53,8 @@ class TestSynthCommand:
         assert summary["config"]["admm"]["rho_decay"] == 0.99
         assert set(summary["config"]["admm"]) == {f.name for f in fields(AdmmConfig)}
         assert "seed" not in summary
+        assert summary["blas_threads"] == blas_threads()
+        assert all(isinstance(n, int) and n >= 1 for n in summary["blas_threads"].values())
         assert (out / "weights.csv").exists()
         assert (out / "history.csv").exists()
 

@@ -1,6 +1,8 @@
 import os
+import pickle
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,14 @@ from beamgain import (
 )
 from beamgain import sphere
 from beamgain.oracles import oracle_secular_scan, oracle_sphere, secular_cost
-from beamgain.sphere import RowBlockedProduct, complex_to_real, real_to_complex, realify
+from beamgain.sphere import (
+    RowBlockedProduct,
+    blas_threads,
+    complex_to_real,
+    one_blas_thread,
+    real_to_complex,
+    realify,
+)
 
 
 def stacked_cost(m, d, x):
@@ -229,6 +238,143 @@ for op in operands:
 """
 
 
+def _child_outputs(script):
+    """Stdout of ``script`` at the default BLAS thread count and at one thread."""
+    src = str(Path(sphere.__file__).resolve().parents[1])
+    outputs = []
+    for threads in (None, "1"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        outputs.append(done.stdout)
+    return outputs
+
+
+# Computes the set-up results that run on one BLAS thread from the plain
+# calls, in a fresh process, and prints their bytes in hex: A, C, P, Q, the
+# realified P P^H and its eigh, and on nonuniform41 also eigh of the
+# two-block Gram, with Q Q^H summed without BLAS so that it has the same
+# bytes at any thread count.
+_CHILD_SET_UP = """
+import numpy as np
+from beamgain import (
+    assemble_regions, build_region_operator, build_total_power_matrix, factorize,
+    nonuniform41, ula41,
+)
+from beamgain.sphere import _realify_operator
+
+cases = [(ula41(), c, w, False) for c in (0.0, 12.5, -27.0) for w in (10.0, 40.0)]
+cases += [(nonuniform41(), c, 20.0, True) for c in (0.0, 7.5, -19.5)]
+for geometry, center, width, two_block in cases:
+    ml, sl = assemble_regions(center, width, 3.0, 0.5)
+    a = build_total_power_matrix(geometry)
+    c = factorize(a)
+    p = build_region_operator(geometry, c, ml)
+    q = np.hstack([build_region_operator(geometry, c, seg) for seg in sl])
+    gram = _realify_operator(p @ p.conj().T)
+    arrays = [a, c, p, q, gram, *np.linalg.eigh(gram)]
+    if two_block:
+        gram += _realify_operator(np.einsum("ik,jk->ij", q, q.conj()))
+        arrays += np.linalg.eigh(gram)
+    for array in arrays:
+        print(array.tobytes().hex())
+"""
+
+
+def test_one_thread_set_up_results_independent_of_thread_count():
+    # the premise of running set-up under one_blas_thread: these calls give
+    # the same bytes on one thread as at the default count
+    outputs = _child_outputs(_CHILD_SET_UP)
+    assert len(outputs[0].split()) == 9 * 7 + 3 * 2
+    assert outputs[0] == outputs[1]
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Names of the OpenBLAS builds found, each set to two threads, then restored."""
+    builds = sphere._openblas_builds()
+    if not builds:
+        pytest.skip("no OpenBLAS build found")
+    saved = blas_threads()
+    for _, put, _ in builds.values():
+        put(2)
+    yield sorted(builds)
+    for name, (_, put, _) in builds.items():
+        put(saved[name])
+
+
+class TestOneBlasThread:
+    def test_one_thread_inside_and_restored_after(self, two_blas_threads):
+        assert blas_threads() == dict.fromkeys(two_blas_threads, 2)
+        with one_blas_thread():
+            assert blas_threads() == dict.fromkeys(two_blas_threads, 1)
+        assert blas_threads() == dict.fromkeys(two_blas_threads, 2)
+
+    def test_restored_when_the_block_raises(self, two_blas_threads):
+        with pytest.raises(ValueError, match="inside"):
+            with one_blas_thread():
+                assert blas_threads() == dict.fromkeys(two_blas_threads, 1)
+                raise ValueError("inside")
+        assert blas_threads() == dict.fromkeys(two_blas_threads, 2)
+
+    def test_nested_blocks_restore_on_the_outer_exit(self, two_blas_threads):
+        with one_blas_thread():
+            with one_blas_thread():
+                pass
+            assert blas_threads() == dict.fromkeys(two_blas_threads, 1)
+        assert blas_threads() == dict.fromkeys(two_blas_threads, 2)
+
+    def test_blocks_overlapping_across_threads(self, two_blas_threads):
+        # more threads than cores and a short switch interval, so that blocks
+        # open and close in every order
+        seen = []
+
+        def enter_and_leave():
+            for _ in range(300):
+                with one_blas_thread():
+                    seen.append(set(blas_threads().values()))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=enter_and_leave) for _ in range(4)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert len(seen) == 4 * 300 and all(counts == {1} for counts in seen)
+        assert blas_threads() == dict.fromkeys(two_blas_threads, 2)
+
+    def test_builds_are_found_by_symbol(self):
+        builds = sphere._openblas_builds()
+        assert set(builds) <= {"numpy", "scipy"}
+        for get, _, config in builds.values():
+            assert get() >= 1
+            assert config.startswith("OpenBLAS")
+
+    @pytest.mark.parametrize(
+        "module", ["numpy.fft._pocketfft_umath", "beamgain._no_such_module"]
+    )
+    def test_build_without_symbols_is_skipped(self, monkeypatch, module):
+        before = blas_threads()
+        monkeypatch.setattr(sphere, "_OPENBLAS_MODULES", {"numpy": (module, "64_")})
+        monkeypatch.setattr(sphere, "_openblas", None)
+        assert blas_threads() == {}
+        with one_blas_thread():
+            x = np.ones((3, 3)) @ np.ones(3)
+        assert np.array_equal(x, np.full(3, 3.0))
+        monkeypatch.undo()
+        assert blas_threads() == before
+
+
 class TestRowBlockedProduct:
     @pytest.mark.parametrize("operand", [0.0, 0.25, "steering"])
     def test_adjoint_product_equals_plain(self, rng, operand):
@@ -247,17 +393,13 @@ class TestRowBlockedProduct:
             assert np.array_equal(product(x), op @ x)
 
     def test_forward_product_independent_of_thread_count(self):
-        src = str(Path(sphere.__file__).resolve().parents[1])
-        outputs = []
-        for threads in (None, "1"):
-            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-            if threads is not None:
-                env["OPENBLAS_NUM_THREADS"] = threads
-            done = subprocess.run(
-                [sys.executable, "-c", _CHILD_PRODUCT],
-                env=env, capture_output=True, text=True, timeout=120, check=True,
-            )
-            outputs.append(done.stdout)
+        outputs = _child_outputs(_CHILD_PRODUCT)
         assert len(outputs[0].split()) == 60
         assert outputs[0] == outputs[1]
+
+    def test_product_and_two_block_solver_do_not_pickle(self):
+        mainlobe, sidelobe = assemble_regions(0.0, 20.0, 3.0, 0.5)
+        ops = build_gain_operators(nonuniform41(), mainlobe, sidelobe)
+        for obj in (RowBlockedProduct(ops.Q), SphereSolver(ops.P, ops.Q)):
+            with pytest.raises(TypeError, match="built in the process that uses it"):
+                pickle.dumps(obj)

@@ -1,4 +1,7 @@
+import threading
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,13 +12,16 @@ from beamgain import (
     DomainError,
     SynthesisProblem,
     assemble_regions,
+    build_gain_operators,
     compute_metrics,
     gamma_from_dsll,
     nonuniform41,
     scan_sweep,
     synthesize,
+    ula41,
 )
 from beamgain import synthesis
+from beamgain.sphere import blas_threads
 from conftest import random_geometry
 
 
@@ -289,3 +295,60 @@ class TestScanSweep:
             assert row.converged
             assert row.osll_db <= -19.8
             assert row.wall_ms < 60_000.0
+
+
+def _other_thread_ticks(work) -> int:
+    """CPU clock ticks that threads other than the caller spend on ``work``.
+
+    Read from ``/proc/self/task`` after a quiet period, in which a BLAS
+    thread woken earlier stops spinning, and again a while after ``work``,
+    so that a thread it wakes has spun by then.
+    """
+    def ticks():
+        out = {}
+        for task in Path("/proc/self/task").iterdir():
+            try:
+                stat = (task / "stat").read_text()
+            except OSError:
+                continue
+            fields = stat.rsplit(")", 1)[1].split()
+            out[int(task.name)] = int(fields[11]) + int(fields[12])  # utime + stime
+        return out
+
+    caller = threading.get_native_id()
+    time.sleep(0.6)
+    before = ticks()
+    work()
+    time.sleep(0.3)
+    after = ticks()
+    return sum(t - before.get(tid, 0) for tid, t in after.items() if tid != caller)
+
+
+class TestBlasThreads:
+    def test_synthesize_leaves_the_thread_counts(self):
+        before = blas_threads()
+        for dsll in (None, -20.0):
+            synthesize(SynthesisProblem(
+                geometry=ula(9), beam_center_deg=0.0, beamwidth_deg=30.0,
+                dsll_db=dsll, admm=AdmmConfig(rho_init=200.0, iter_max=20),
+            ))
+            assert blas_threads() == before
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/task").is_dir(),
+        reason="reads per-thread CPU time from Linux's /proc/self/task",
+    )
+    def test_unconstrained_run_wakes_no_blas_thread(self):
+        if blas_threads().get("numpy", 1) < 2:
+            pytest.skip("needs an OpenBLAS build with at least two threads")
+        problem = SynthesisProblem(
+            geometry=ula41(), beam_center_deg=0.0, beamwidth_deg=20.0,
+            admm=AdmmConfig(rho_init=1000.0, iter_max=20),
+        )
+        synthesize(problem)
+        assert _other_thread_ticks(lambda: synthesize(problem)) == 0
+        # positive control: a threaded Q Q^H wakes a BLAS thread, which the
+        # probe sees
+        mainlobe, sidelobe = assemble_regions(0.0, 20.0, 3.0, 0.5)
+        q = build_gain_operators(nonuniform41(), mainlobe, sidelobe).Q
+        assert _other_thread_ticks(lambda: q @ q.conj().T) > 0

@@ -26,7 +26,7 @@ from .errors import (
     NumericalError,
 )
 from .fixtures import load_geometry_csv, nonuniform41, ula41
-from .sphere import SphereSolver, secular_bisect, solve_sphere_lsq
+from .sphere import SphereSolver, secular_bisect
 from .subproblems import update_g_wosc, update_gh_wsc
 from .synthesis import (
     SynthesisProblem,

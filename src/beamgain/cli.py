@@ -44,7 +44,7 @@ from .oracles import (
     oracle_sphere,
     secular_cost,
 )
-from .sphere import secular_bisect, solve_sphere_lsq
+from .sphere import SphereSolver, secular_bisect
 from .subproblems import update_g_wosc, update_gh_wsc
 from .synthesis import SynthesisProblem, scan_sweep, synthesize
 
@@ -278,11 +278,10 @@ def _validate_levels(rng, reports, checks) -> None:
 
         l_sl = int(rng.integers(1, 13))
         z2 = (rng.normal(size=l_sl) + 1j * rng.normal(size=l_sl)) * 10.0 ** rng.uniform(-2, 3)
-        rho2 = 10.0 ** rng.uniform(-1, 3.5)
         gamma = 10.0 ** rng.uniform(-4, 0.5)
-        g0, _, _ = update_gh_wsc(y, z2, rho, rho2, gamma)
-        engine = float(clamped_cost_wsc(np.asarray([g0]), y, z2, rho, rho2, gamma)[0])
-        _, oracle = oracle_g0_grid_wsc(y, z2, rho, rho2, gamma)
+        g0, _, _ = update_gh_wsc(y, z2, rho, gamma)
+        engine = float(clamped_cost_wsc(np.asarray([g0]), y, z2, rho, gamma)[0])
+        _, oracle = oracle_g0_grid_wsc(y, z2, rho, gamma)
         reports.append(
             OracleReport(
                 name="level_wsc",
@@ -292,29 +291,39 @@ def _validate_levels(rng, reports, checks) -> None:
                 inputs={
                     "z1_re": list(y.real), "z1_im": list(y.imag),
                     "z2_re": list(z2.real), "z2_im": list(z2.imag),
-                    "rho1": rho, "rho2": rho2, "gamma": gamma,
+                    "rho": rho, "gamma": gamma,
                 },
             )
         )
 
 
 def _validate_sphere(rng, reports, checks) -> None:
-    for _ in range(checks):
-        dim = int(rng.integers(2, 13))
-        cols = int(rng.integers(1, 13))
-        m = rng.normal(size=(dim, cols))
-        d = rng.normal(size=cols) * 10.0 ** rng.uniform(-1, 1)
-        x = solve_sphere_lsq(m, d)
-        engine = float(np.sum((m.T @ x - d) ** 2))
-        _, oracle = oracle_sphere(m, d, n_restarts=4000, n_polish=6,
+    """The loop's own solver, one block and, on every other instance, two."""
+    for i in range(checks):
+        n = int(rng.integers(1, 7))
+        ops, targets = [], []
+        for _ in range(1 + i % 2):
+            cols = int(rng.integers(1, 13))
+            ops.append(rng.normal(size=(n, cols)) + 1j * rng.normal(size=(n, cols)))
+            scale = 10.0 ** rng.uniform(-1, 1)
+            targets.append(scale * (rng.normal(size=cols) + 1j * rng.normal(size=cols)))
+        x = SphereSolver(*ops).solve(*targets)
+        w, d = np.hstack(ops), np.concatenate(targets)
+        engine = float(np.sum(np.abs(w.conj().T @ x - d) ** 2))
+        _, oracle = oracle_sphere(w, d, n_restarts=4000, n_polish=6,
                                   seed=int(rng.integers(0, 2**31)))
+        names = ("p", "q")[: len(ops)] + ("d1", "d2")[: len(ops)]
+        inputs = {}
+        for name, value in zip(names, ops + targets):
+            inputs[f"{name}_re"] = value.real.tolist()
+            inputs[f"{name}_im"] = value.imag.tolist()
         reports.append(
             OracleReport(
                 name="sphere_lsq",
                 oracle_cost=oracle,
                 engine_cost=engine,
                 samples_or_gridstep="4000 samples + 6 polished",
-                inputs={"m": m.tolist(), "d": d.tolist()},
+                inputs=inputs,
             )
         )
 

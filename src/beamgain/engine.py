@@ -157,9 +157,7 @@ def _run(p, q, cfg: AdmmConfig, gamma, solver: SphereSolver, callback=None) -> A
             state.g0, state.g = update_g_wosc(z1, state.rho)
         else:
             z2 = qx + state.rho * state.u2
-            state.g0, state.g, state.h = update_gh_wsc(
-                z1, z2, state.rho, state.rho, gamma
-            )
+            state.g0, state.g, state.h = update_gh_wsc(z1, z2, state.rho, gamma)
         d1 = state.g - state.rho * state.u1
         d2 = state.h - state.rho * state.u2 if q is not None else None
         try:

@@ -1,9 +1,11 @@
 """Brute-force references certifying the analytic solvers.
 
 These deliberately avoid the production code paths: the level-update
-oracle scans a dense one-dimensional grid of the clamped cost, the sphere
-oracle polishes random unit starts by projected gradient descent, and the
-secular oracle finds every real root by sign-change scanning.  They are
+oracles scan a dense one-dimensional grid of the clamped cost (one penalty
+rho on both blocks, as in the ADMM loop), the sphere oracle polishes random
+complex unit starts by projected gradient descent on ``||P^H x - d||^2``
+(a two-block problem is checked on the stacked ``[P Q]`` and ``[d1; d2]``),
+and the secular oracle finds every real root by sign-change scanning.  They are
 desk-scale tools.  Full-scale runs are checked against published values,
 capped by :func:`dual_certificate`: a weak-duality upper bound on the best
 minimum mainlobe gain of the whole problem, verified by one ``eigvalsh``.
@@ -71,7 +73,7 @@ def clamped_cost_wosc(g0, y, rho: float):
     return -g0 + np.sum(excess * excess, axis=-1) / (2.0 * rho)
 
 
-def clamped_cost_wsc(g0, z1, z2, rho1: float, rho2: float, gamma: float):
+def clamped_cost_wsc(g0, z1, z2, rho: float, gamma: float):
     """Joint clamped cost with the sidelobe cap term, vectorized over g0."""
     g0 = np.asarray(g0, dtype=float)
     m1 = np.abs(np.asarray(z1, dtype=complex))
@@ -81,8 +83,8 @@ def clamped_cost_wsc(g0, z1, z2, rho1: float, rho2: float, gamma: float):
     down = np.maximum(m2 - sqrt_gamma * g0[..., None], 0.0)
     return (
         -g0
-        + np.sum(up * up, axis=-1) / (2.0 * rho1)
-        + np.sum(down * down, axis=-1) / (2.0 * rho2)
+        + np.sum(up * up, axis=-1) / (2.0 * rho)
+        + np.sum(down * down, axis=-1) / (2.0 * rho)
     )
 
 
@@ -138,55 +140,55 @@ def oracle_g0_grid_wosc(y, rho: float, g0_max=None, step=None):
     )
 
 
-def oracle_g0_grid_wsc(z1, z2, rho1: float, rho2: float, gamma: float,
-                       g0_max=None, step=None):
+def oracle_g0_grid_wsc(z1, z2, rho: float, gamma: float, g0_max=None, step=None):
     """Grid-scan the joint level cost; returns the minimizing (g0, cost)."""
     z1 = np.asarray(z1, dtype=complex)
     z2 = np.asarray(z2, dtype=complex)
-    stationary_top = (rho1 + float(np.sum(np.abs(z1)))) / z1.size
+    stationary_top = (rho + float(np.sum(np.abs(z1)))) / z1.size
     breakpoints = np.concatenate(
         (np.abs(z1), np.abs(z2) / np.sqrt(gamma), [stationary_top])
     )
     return _grid_minimize(
-        lambda g: clamped_cost_wsc(g, z1, z2, rho1, rho2, gamma),
+        lambda g: clamped_cost_wsc(g, z1, z2, rho, gamma),
         breakpoints,
         g0_max,
         step,
     )
 
 
-def oracle_sphere(m, d, n_restarts: int = 20000, n_polish: int = 8,
+def oracle_sphere(p, d, n_restarts: int = 20000, n_polish: int = 8,
                   seed: int | None = None):
-    """Best unit vector for ``||m^T x - d||^2`` from sampled + polished starts.
+    """Best complex unit vector for ``||P^H x - d||^2`` from polished starts.
 
-    Samples ``n_restarts`` random unit vectors, then runs projected gradient
-    descent with renormalization on the best ``n_polish`` until the step
-    falls below 1e-10.  Returns ``(x, cost)``.
+    Samples ``n_restarts`` random complex unit vectors, then runs projected
+    gradient descent (gradient ``2 P (P^H x - d)``, step one over its
+    Lipschitz constant ``2 ||P||_2^2``, renormalization) on the best
+    ``n_polish`` until the step falls below 1e-10.  Returns ``(x, cost)``.
     """
-    m = np.atleast_2d(np.asarray(m, dtype=float))
-    d = np.asarray(d, dtype=float)
-    dim = m.shape[0]
+    p = np.atleast_2d(np.asarray(p, dtype=complex))
+    d = np.asarray(d, dtype=complex)[:, None]
+    ph = p.conj().T
+    dim = p.shape[0]
     rng = np.random.default_rng(seed)
-    starts = rng.normal(size=(dim, n_restarts))
+    starts = rng.normal(size=(dim, n_restarts)) + 1j * rng.normal(size=(dim, n_restarts))
     starts /= np.linalg.norm(starts, axis=0)
-    residuals = m.T @ starts - d[:, None]
-    costs = np.sum(residuals * residuals, axis=0)
-    keep = np.argsort(costs)[: max(1, n_polish)]
-    x = starts[:, keep].copy()
-    lipschitz = 2.0 * np.linalg.norm(m, 2) ** 2
-    rate = 1.0 / max(lipschitz, 1e-30)
+
+    def costs(x):
+        residuals = ph @ x - d
+        return np.sum(residuals.real ** 2 + residuals.imag ** 2, axis=0)
+
+    x = starts[:, np.argsort(costs(starts))[: max(1, n_polish)]]
+    rate = 1.0 / max(2.0 * np.linalg.norm(p, 2) ** 2, 1e-30)
     for _ in range(20000):
-        gradient = 2.0 * (m @ (m.T @ x - d[:, None]))
-        x_new = x - rate * gradient
+        x_new = x - rate * 2.0 * (p @ (ph @ x - d))
         x_new /= np.linalg.norm(x_new, axis=0)
         movement = np.max(np.linalg.norm(x_new - x, axis=0))
         x = x_new
         if movement < 1e-10:
             break
-    residuals = m.T @ x - d[:, None]
-    costs = np.sum(residuals * residuals, axis=0)
-    best = int(np.argmin(costs))
-    return x[:, best], float(costs[best])
+    final = costs(x)
+    best = int(np.argmin(final))
+    return x[:, best], float(final[best])
 
 
 def secular_cost(lambdas, beta, nu: float) -> float:

@@ -1,10 +1,12 @@
-"""Unit-sphere least squares via realification and a secular equation.
+"""Complex unit-sphere least squares via realification and a secular equation.
 
-The weight update minimizes ``||M^T xt - dt||^2`` over real unit vectors
-``xt``, where M stacks the realified complex region operators.  In the
-eigenbasis of the Gram matrix ``M M^T`` the stationarity condition becomes
-``alpha = (Lambda - nu I)^{-1} beta`` with the Lagrange multiplier nu the
-smallest root of the secular equation
+The weight update minimizes ``||P^H x - d1||^2 (+ ||Q^H x - d2||^2)`` over
+complex unit vectors x.  Stacked as the real vector ``[Re x; Im x]`` the
+cost is a real quadratic whose Gram matrix is the realified ``P P^H (+ Q
+Q^H)`` and whose linear term is the realified ``P d1 (+ Q d2)``.  In the
+Gram eigenbasis the stationarity condition becomes ``alpha = (Lambda - nu
+I)^{-1} beta`` with the Lagrange multiplier nu the smallest root of the
+secular equation
 
     sum_n (beta_n / (nu - lambda_n))^2 = 1.
 
@@ -13,6 +15,8 @@ root, found by safeguarded bisection inside an analytic bracket.  When beta
 has no component on the bottom eigenspace and the secular sum at the bottom
 eigenvalue stays below one, no such root exists; the minimizer then sits at
 ``nu = lambda_min`` with the norm deficit supplied by a bottom eigenvector.
+:class:`SphereSolver` is the one solver; ``beamgain validate`` certifies it
+against :func:`beamgain.oracles.oracle_sphere`.
 """
 
 from __future__ import annotations
@@ -30,12 +34,8 @@ __all__ = [
     "RowBlockedProduct",
     "SphereSolver",
     "blas_threads",
-    "complex_to_real",
     "one_blas_thread",
-    "real_to_complex",
-    "realify",
     "secular_bisect",
-    "solve_sphere_lsq",
 ]
 
 _BETA_CUTOFF = 1e-14
@@ -124,59 +124,16 @@ def one_blas_thread():
                     put(count)
 
 
-def complex_to_real(x) -> NDArray[np.float64]:
-    """Stack a complex vector as [real; imag]."""
-    x = np.asarray(x, dtype=complex)
-    return np.concatenate((x.real, x.imag))
-
-
-def real_to_complex(xt) -> NDArray[np.complex128]:
-    """Inverse of :func:`complex_to_real`; length must be even."""
-    xt = np.asarray(xt, dtype=float)
-    if xt.size % 2:
-        raise DomainError("realified vector length must be even")
-    half = xt.size // 2
-    return xt[:half] + 1j * xt[half:]
-
-
 def _realify_operator(op: NDArray[np.complex128]) -> NDArray[np.float64]:
     """2N x 2L block matrix [[Re, -Im], [Im, Re]] of a complex N x L operator.
 
-    Satisfies ``block^T xt = complex_to_real(op^H x)`` for ``xt =
-    complex_to_real(x)``, so stacked real least squares reproduces the
-    complex residual norms exactly.  For a Hermitian ``h = P P^H`` the block
-    matrix equals ``Pt @ Pt.T`` with ``Pt`` the block matrix of ``P``.
+    Satisfies ``block^T [Re x; Im x] = [Re(op^H x); Im(op^H x)]``, so
+    stacked real least squares reproduces the complex residual norms
+    exactly.  For a Hermitian ``h = P P^H`` the block matrix equals ``Pt @
+    Pt.T`` with ``Pt`` the block matrix of ``P``.
     """
     re, im = op.real, op.imag
     return np.block([[re, -im], [im, re]])
-
-
-def realify(
-    p: NDArray[np.complex128],
-    d,
-    q: NDArray[np.complex128] | None = None,
-    d2=None,
-) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Stacked real operator and target for the sphere least-squares step.
-
-    The optional sidelobe block is stacked beside the mainlobe block, so that
-
-        ||M^T xt - dt||^2 = ||P^H x - d||^2 + ||Q^H x - d2||^2.
-    """
-    p = np.asarray(p, dtype=complex)
-    d = np.asarray(d, dtype=complex)
-    if p.ndim != 2 or d.shape != (p.shape[1],):
-        raise DomainError("operator/target dimensions are inconsistent")
-    blocks = [_realify_operator(p)]
-    targets = [complex_to_real(d)]
-    if q is not None and q.size:
-        q = np.asarray(q, dtype=complex)
-        d2 = np.asarray(d2, dtype=complex)
-        if q.ndim != 2 or q.shape[0] != p.shape[0] or d2.shape != (q.shape[1],):
-            raise DomainError("sidelobe operator/target dimensions are inconsistent")
-        blocks.append(_realify_operator(q))
-        targets.append(complex_to_real(d2))
-    return np.hstack(blocks), np.concatenate(targets)
 
 
 def secular_bisect(lambdas, beta) -> float:
@@ -311,27 +268,6 @@ def _unit_coefficients(
     return alpha / np.linalg.norm(alpha)
 
 
-def solve_sphere_lsq(m: NDArray[np.float64], d_stacked) -> NDArray[np.float64]:
-    """Global minimizer of ``||m^T x - d||^2`` over real unit vectors x.
-
-    Degenerate targets (``m^T d`` in the Gram kernel, including d = 0) fall
-    back to the bottom eigenvector, the Rayleigh-quotient minimizer.
-    """
-    m = np.atleast_2d(np.asarray(m, dtype=float))
-    d = np.asarray(d_stacked, dtype=float)
-    if d.shape != (m.shape[1],):
-        raise DomainError("operator/target dimensions are inconsistent")
-    if not np.any(m):
-        raise DomainError("operator must be nonzero")
-    gram = m @ m.T
-    gram = 0.5 * (gram + gram.T)
-    lambdas, u = np.linalg.eigh(gram)
-    beta = u.T @ (m @ d)
-    alpha = _unit_coefficients(lambdas, _bottom_mask(lambdas), beta)
-    x = u @ alpha
-    return x / np.linalg.norm(x)
-
-
 def _row_cuts(a: NDArray[np.complex128]) -> list[int]:
     """Row boundaries of the blocks :class:`RowBlockedProduct` computes.
 
@@ -394,11 +330,12 @@ class RowBlockedProduct:
 
 
 class SphereSolver:
-    """Reusable sphere least-squares solver for fixed region operators.
+    """Minimizer of ``||P^H x - d1||^2 (+ ||Q^H x - d2||^2)`` over complex unit x.
 
     The Gram matrix ``P P^H (+ Q Q^H)`` depends on the operators alone, so
     its eigensystem is computed once, at construction, and every solve
-    reuses it.  ``P P^H``, the sum and ``eigh`` run on one OpenBLAS thread
+    reuses it; the operators are checked there too, never per solve.
+    ``P P^H``, the sum and ``eigh`` run on one OpenBLAS thread
     (:func:`one_blas_thread`), which gives the bits of the threaded calls and
     leaves no BLAS thread spinning beside the loop; ``Q Q^H`` keeps the
     caller's thread count, because its bits depend on it.  A solver with a
@@ -411,7 +348,13 @@ class SphereSolver:
         q: NDArray[np.complex128] | None = None,
     ):
         self._p = np.asarray(p, dtype=complex)
-        q = None if q is None or q.size == 0 else np.asarray(q, dtype=complex)
+        if self._p.ndim != 2 or not np.all(np.isfinite(self._p)) or not np.any(self._p):
+            raise DomainError("the mainlobe operator must be a finite, nonzero matrix")
+        q = None if q is None or np.size(q) == 0 else np.asarray(q, dtype=complex)
+        if q is not None and (
+            q.ndim != 2 or q.shape[0] != self._p.shape[0] or not np.all(np.isfinite(q))
+        ):
+            raise DomainError("the sidelobe operator must be a finite matrix with P's rows")
         self._q_product = RowBlockedProduct(q) if q is not None else None
         # first, at the caller's thread count: its bits depend on the count
         q_gram = _realify_operator(q @ q.conj().T) if q is not None else None
@@ -423,11 +366,13 @@ class SphereSolver:
         self._bottom = _bottom_mask(self._lambdas)
 
     def solve(self, d1, d2=None) -> NDArray[np.complex128]:
-        """Unit-norm complex minimizer of the stacked least squares."""
+        """Unit-norm complex minimizer for the targets ``d1`` (and ``d2``)."""
         b = self._p @ np.asarray(d1, dtype=complex)
         if self._q_product is not None:
             b = b + self._q_product(np.asarray(d2, dtype=complex))
-        beta = self._u.T @ complex_to_real(b)
+        beta = self._u.T @ np.concatenate((b.real, b.imag))
         alpha = _unit_coefficients(self._lambdas, self._bottom, beta)
         x = self._u @ alpha
-        return real_to_complex(x / np.linalg.norm(x))
+        x = x / np.linalg.norm(x)
+        n = x.size // 2
+        return x[:n] + 1j * x[n:]

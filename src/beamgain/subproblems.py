@@ -2,7 +2,7 @@
 
 Both updates minimize a cost of the form
 
-    -g0 + (1/(2 rho1)) ||z1 - g||^2 + (1/(2 rho2)) ||z2 - h||^2
+    -g0 + (1/(2 rho)) ||z1 - g||^2 + (1/(2 rho)) ||z2 - h||^2
 
 subject to ``|g_l| >= g0`` (mainlobe levels at least g0) and
 ``|h_s| <= sqrt(gamma) g0`` (sidelobe levels capped).  For a fixed g0 the
@@ -67,7 +67,7 @@ def update_g_wosc(
 
 
 def update_gh_wsc(
-    z1, z2, rho1: float, rho2: float, gamma: float
+    z1, z2, rho: float, gamma: float
 ) -> tuple[float, NDArray[np.complex128], NDArray[np.complex128]]:
     """Joint minimizer with mainlobe floor and sidelobe cap constraints.
 
@@ -76,8 +76,7 @@ def update_gh_wsc(
     entries with threshold below g0 and the sidelobe clamp set those with
     threshold above g0; the stationary point of the restricted quadratic is
 
-        (rho1 rho2 + rho2 S1 + rho1 sqrt(gamma) S2) /
-        (rho2 k1 + rho1 gamma k2)
+        (rho^2 + rho S1 + rho sqrt(gamma) S2) / (rho k1 + rho gamma k2)
 
     with S1, k1 the clamped mainlobe modulus sum/count and S2, k2 the
     clamped sidelobe ones.  An empty sidelobe vector reduces to
@@ -87,12 +86,12 @@ def update_gh_wsc(
     z2 = _checked_complex("z2", z2)
     if z1.size == 0:
         raise DomainError("z1 must have at least one entry")
-    if not (rho1 > 0 and rho2 > 0):
-        raise DomainError("rho1 and rho2 must be positive")
+    if not rho > 0:
+        raise DomainError("rho must be positive")
     if not gamma > 0:
         raise DomainError("gamma must be positive")
     if z2.size == 0:
-        g0, g = update_g_wosc(z1, rho1)
+        g0, g = update_g_wosc(z1, rho)
         return g0, g, np.zeros(0, dtype=complex)
 
     sqrt_gamma = float(np.sqrt(gamma))
@@ -123,17 +122,19 @@ def update_gh_wsc(
 
     lower = np.concatenate(([0.0], thresholds))
     upper = np.concatenate((thresholds, [np.inf]))
-    numerator = rho1 * rho2 + rho2 * s1 + rho1 * sqrt_gamma * s2
-    denominator = rho2 * k1 + rho1 * gamma * k2
+    # rho is not cancelled: the ADMM loop amplifies rounding, so cancelling
+    # it would change every constrained answer
+    numerator = rho * rho + rho * s1 + rho * sqrt_gamma * s2
+    denominator = rho * k1 + rho * gamma * k2
     with np.errstate(divide="ignore", invalid="ignore"):
         stationary = numerator / denominator
     candidates = np.where(denominator > 0, stationary, upper)
     candidates = np.clip(candidates, lower, upper)
     cost = (
         -candidates
-        + (k1 * candidates**2 - 2.0 * candidates * s1 + q1) / (2.0 * rho1)
+        + (k1 * candidates**2 - 2.0 * candidates * s1 + q1) / (2.0 * rho)
         + (gamma * k2 * candidates**2 - 2.0 * sqrt_gamma * candidates * s2 + q2)
-        / (2.0 * rho2)
+        / (2.0 * rho)
     )
     g0 = float(candidates[np.argmin(cost)])
     g = np.maximum(abs1, g0) * np.exp(1j * np.angle(z1))

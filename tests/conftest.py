@@ -29,6 +29,28 @@ def random_geometry(rng, n, min_spacing=0.35, max_spacing=0.8):
     return ArrayGeometry(positions=positions, efficiencies=np.ones(n))
 
 
+def random_sphere_problem(rng, blocks):
+    """Operators and targets of a random complex sphere problem.
+
+    N = 1-6 rows, 1-12 columns in each of ``blocks`` blocks, targets scaled
+    by a factor in [0.1, 10].
+    """
+    n = int(rng.integers(1, 7))
+    ops, targets = [], []
+    for _ in range(blocks):
+        cols = int(rng.integers(1, 13))
+        ops.append(rng.normal(size=(n, cols)) + 1j * rng.normal(size=(n, cols)))
+        scale = 10.0 ** rng.uniform(-1, 1)
+        targets.append(scale * (rng.normal(size=cols) + 1j * rng.normal(size=cols)))
+    return ops, targets
+
+
+def sphere_cost(ops, targets, x):
+    """``sum_k ||op_k^H x - target_k||^2``, the cost of the stacked problem."""
+    residual = np.hstack(ops).conj().T @ x - np.concatenate(targets)
+    return float(np.sum(np.abs(residual) ** 2))
+
+
 @pytest.fixture
 def small_geometry(rng):
     return random_geometry(rng, 6)

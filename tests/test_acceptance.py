@@ -19,6 +19,7 @@ from scipy.linalg import solve_triangular
 from beamgain import (
     AdmmConfig,
     ArrayGeometry,
+    SphereSolver,
     SynthesisProblem,
     assemble_regions,
     build_gain_operators,
@@ -28,7 +29,6 @@ from beamgain import (
     power_gain_pattern,
     run_wsc,
     secular_bisect,
-    solve_sphere_lsq,
     synth_aep,
     synthesize,
     ula41,
@@ -45,7 +45,7 @@ from beamgain.oracles import (
     oracle_sphere,
     secular_cost,
 )
-from conftest import random_geometry
+from conftest import random_geometry, random_sphere_problem, sphere_cost
 
 WOSC_REFERENCE = {10.0: 9.59, 20.0: 7.04, 30.0: 5.49, 40.0: 4.36}
 WSC_REFERENCE = {-20.0: 7.03, -25.0: 7.01, -30.0: 6.98, -35.0: 6.93}
@@ -197,25 +197,22 @@ def test_criterion_4_subproblem_oracle_equivalence():
         l2 = int(rng.integers(1, 13))
         z1 = (rng.normal(size=l1) + 1j * rng.normal(size=l1)) * 10.0 ** rng.uniform(-2, 3)
         z2 = (rng.normal(size=l2) + 1j * rng.normal(size=l2)) * 10.0 ** rng.uniform(-2, 3)
-        rho1 = 10.0 ** rng.uniform(-1, 3.5)
-        rho2 = 10.0 ** rng.uniform(-1, 3.5)
+        rho = 10.0 ** rng.uniform(-1, 3.5)
         gamma = 10.0 ** rng.uniform(-4, 0.5)
-        g0, _, _ = update_gh_wsc(z1, z2, rho1, rho2, gamma)
-        engine = float(clamped_cost_wsc(np.asarray([g0]), z1, z2, rho1, rho2, gamma)[0])
-        _, oracle = oracle_g0_grid_wsc(z1, z2, rho1, rho2, gamma)
+        g0, _, _ = update_gh_wsc(z1, z2, rho, gamma)
+        engine = float(clamped_cost_wsc(np.asarray([g0]), z1, z2, rho, gamma)[0])
+        _, oracle = oracle_g0_grid_wsc(z1, z2, rho, gamma)
         worst_level = max(worst_level, engine - oracle)
 
+    # the loop's own solver, one block and, on every other instance, two
     worst_sphere = 0.0
-    for _ in range(1000):
-        dim = int(rng.integers(2, 13))
-        cols = int(rng.integers(1, 13))
-        m = rng.normal(size=(dim, cols))
-        d = rng.normal(size=cols) * 10.0 ** rng.uniform(-1, 1)
-        x = solve_sphere_lsq(m, d)
-        engine = float(np.sum((m.T @ x - d) ** 2))
-        _, oracle = oracle_sphere(m, d, n_restarts=4000, n_polish=6,
+    for i in range(1000):
+        ops, targets = random_sphere_problem(rng, 1 + i % 2)
+        x = SphereSolver(*ops).solve(*targets)
+        _, oracle = oracle_sphere(np.hstack(ops), np.concatenate(targets),
+                                  n_restarts=4000, n_polish=6,
                                   seed=int(rng.integers(0, 2**31)))
-        worst_sphere = max(worst_sphere, engine - oracle)
+        worst_sphere = max(worst_sphere, sphere_cost(ops, targets, x) - oracle)
     elapsed = time.perf_counter() - start
     ok = worst_level <= 1e-6 and worst_sphere <= 1e-6 and elapsed < 300.0
     report(

@@ -374,9 +374,7 @@ def _run(p, q, cfg: ReferenceConfig, callback=None) -> ReferenceState:
             state.g0, state.g = update_g_wosc(z1, state.rho1)
         else:
             z2 = qh @ state.x + state.rho2 * state.u2
-            state.g0, state.g, state.h = update_gh_wsc(
-                z1, z2, state.rho1, state.rho2, cfg.gamma
-            )
+            state.g0, state.g, state.h = update_gh_wsc(z1, z2, state.rho1, cfg.gamma)
         d1 = state.g - state.rho1 * state.u1
         d2 = state.h - state.rho2 * state.u2 if q is not None else None
         try:

@@ -5,9 +5,20 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from beamgain import AdmmConfig, ArrayGeometry, SynthesisProblem, load_geometry_csv, synthesize
+from conftest import sphere_cost
+
+from beamgain import (
+    AdmmConfig,
+    ArrayGeometry,
+    SphereSolver,
+    SynthesisProblem,
+    load_geometry_csv,
+    synthesize,
+    update_gh_wsc,
+)
 from beamgain.cli import main
 from beamgain.exports import export_pattern, round_significant
+from beamgain.oracles import clamped_cost_wsc
 from beamgain.sphere import blas_threads
 from beamgain.synthesis import SynthesisResult
 
@@ -149,6 +160,30 @@ class TestValidateCommand:
         assert len(lines) == 10 * 3 + 2
         record = json.loads(lines[0])
         assert record["gap"] <= 1e-6
+
+    def test_reports_replay(self, tmp_path):
+        assert main(["validate", "--checks", "8", "--seed", "5", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "oracle_reports.jsonl").read_text().splitlines()
+        reports = [json.loads(line) for line in lines]
+
+        def stored(inputs, *names):
+            return [np.asarray(inputs[f"{n}_re"]) + 1j * np.asarray(inputs[f"{n}_im"])
+                    for n in names if f"{n}_re" in inputs]
+
+        sphere = [r for r in reports if r["name"] == "sphere_lsq"]
+        assert ["q_re" in r["inputs"] for r in sphere] == [False, True]
+        for record in sphere:
+            ops, targets = stored(record["inputs"], "p", "q"), stored(record["inputs"], "d1", "d2")
+            x = SphereSolver(*ops).solve(*targets)
+            assert sphere_cost(ops, targets, x) == record["engine_cost"]
+
+        record = next(r for r in reports if r["name"] == "level_wsc")
+        inputs = record["inputs"]
+        z1, z2 = stored(inputs, "z1", "z2")
+        assert "rho1" not in inputs and "rho2" not in inputs
+        g0, _, _ = update_gh_wsc(z1, z2, inputs["rho"], inputs["gamma"])
+        cost = clamped_cost_wsc(np.asarray([g0]), z1, z2, inputs["rho"], inputs["gamma"])
+        assert cost[0] == record["engine_cost"]
 
 
 class TestFixturesCommand:

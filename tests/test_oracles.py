@@ -30,7 +30,7 @@ class TestLevelGridOracle:
 
     def test_wsc_closed_form(self):
         g0, _ = oracle_g0_grid_wsc(
-            np.array([2.0 + 0j]), np.array([1.0 + 0j]), 1.0, 1.0, 0.04
+            np.array([2.0 + 0j]), np.array([1.0 + 0j]), 1.0, 0.04
         )
         assert g0 == pytest.approx(40.0 / 13.0, abs=1e-3)
 
@@ -61,19 +61,20 @@ class TestLevelGridOracle:
 
 class TestSphereOracle:
     def test_identity_case(self):
-        x, cost = oracle_sphere(np.eye(2), np.array([3.0, 4.0]), seed=0)
+        # the minimizer is d / |d|: both components keep their phases
+        x, cost = oracle_sphere(np.eye(2), np.array([3.0j, -4.0]), seed=0)
         assert cost == pytest.approx(16.0, abs=1e-6)
-        assert np.allclose(np.abs(x), [0.6, 0.8], atol=1e-4)
+        assert np.allclose(x, [0.6j, -0.8], atol=1e-4)
 
     def test_zero_target_rayleigh(self):
-        _, cost = oracle_sphere(np.diag([1.0, 2.0]), np.zeros(2), seed=0)
+        _, cost = oracle_sphere(np.diag([1.0, 2.0j]), np.zeros(2), seed=0)
         assert cost == pytest.approx(1.0, abs=1e-6)
 
     def test_self_consistency_under_refinement(self, rng):
-        m = rng.normal(size=(4, 5))
-        d = rng.normal(size=5)
-        _, coarse = oracle_sphere(m, d, n_restarts=2000, n_polish=4, seed=1)
-        _, fine = oracle_sphere(m, d, n_restarts=20000, n_polish=8, seed=2)
+        p = rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5))
+        d = rng.normal(size=5) + 1j * rng.normal(size=5)
+        _, coarse = oracle_sphere(p, d, n_restarts=2000, n_polish=4, seed=1)
+        _, fine = oracle_sphere(p, d, n_restarts=20000, n_polish=8, seed=2)
         assert abs(coarse - fine) < 1e-6
 
 

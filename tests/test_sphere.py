@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import random_sphere_problem, sphere_cost
+
 from beamgain import (
     DomainError,
     NumericalError,
@@ -16,69 +18,11 @@ from beamgain import (
     build_gain_operators,
     nonuniform41,
     secular_bisect,
-    solve_sphere_lsq,
     steering_matrix,
 )
 from beamgain import sphere
 from beamgain.oracles import oracle_secular_scan, oracle_sphere, secular_cost
-from beamgain.sphere import (
-    RowBlockedProduct,
-    blas_threads,
-    complex_to_real,
-    one_blas_thread,
-    real_to_complex,
-    realify,
-)
-
-
-def stacked_cost(m, d, x):
-    return float(np.sum((m.T @ x - d) ** 2))
-
-
-class TestRealify:
-    def test_pure_imaginary_operator(self):
-        # P^H x = conj(j) * 1 = -j, stacked as [0, -1]
-        m, _ = realify(np.array([[1j]]), np.array([0j]))
-        xt = complex_to_real(np.array([1.0 + 0j]))
-        assert np.allclose(m.T @ xt, [0.0, -1.0])
-
-    def test_real_operator_block_structure(self, rng):
-        p = rng.normal(size=(3, 2)).astype(complex)
-        m, _ = realify(p, np.zeros(2, dtype=complex))
-        assert np.allclose(m[:3, :2], p.real)
-        assert np.allclose(m[3:, 2:], p.real)
-        assert np.allclose(m[:3, 2:], 0.0)
-        assert np.allclose(m[3:, :2], 0.0)
-
-    def test_norm_identity(self, rng):
-        p = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
-        for _ in range(10):
-            x = rng.normal(size=3) + 1j * rng.normal(size=3)
-            d = rng.normal(size=2) + 1j * rng.normal(size=2)
-            m, dt = realify(p, d)
-            complex_norm = np.linalg.norm(p.conj().T @ x - d) ** 2
-            real_norm = np.linalg.norm(m.T @ complex_to_real(x) - dt) ** 2
-            assert complex_norm == pytest.approx(real_norm, abs=1e-12)
-
-    def test_weighted_two_block_identity(self, rng):
-        p = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
-        q = rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5))
-        d1 = rng.normal(size=3) + 1j * rng.normal(size=3)
-        d2 = rng.normal(size=5) + 1j * rng.normal(size=5)
-        m, dt = realify(p, d1, q, d2)
-        x = rng.normal(size=4) + 1j * rng.normal(size=4)
-        lhs = np.linalg.norm(m.T @ complex_to_real(x) - dt) ** 2
-        rhs = np.linalg.norm(p.conj().T @ x - d1) ** 2
-        rhs += np.linalg.norm(q.conj().T @ x - d2) ** 2
-        assert lhs == pytest.approx(rhs, rel=1e-12)
-
-    def test_round_trip(self, rng):
-        x = rng.normal(size=6) + 1j * rng.normal(size=6)
-        assert np.array_equal(real_to_complex(complex_to_real(x)), x)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DomainError):
-            realify(np.ones((2, 3), dtype=complex), np.zeros(2, dtype=complex))
+from beamgain.sphere import RowBlockedProduct, blas_threads, one_blas_thread
 
 
 class TestSecularBisect:
@@ -128,76 +72,86 @@ class TestSecularBisect:
 
 
 class TestSolveSphereLsq:
+    """Sphere least squares over complex unit x, solved by :class:`SphereSolver`."""
+
     def test_identity_projection(self):
-        x = solve_sphere_lsq(np.eye(2), np.array([3.0, 4.0]))
-        assert np.allclose(x, [0.6, 0.8], atol=1e-10)
+        x = SphereSolver(np.eye(2)).solve(np.array([3j, 4.0]))
+        assert np.allclose(x, [0.6j, 0.8], atol=1e-10)
 
     def test_zero_target_rayleigh(self):
-        x = solve_sphere_lsq(np.diag([1.0, 2.0]), np.zeros(2))
+        x = SphereSolver(np.diag([1.0, 2.0])).solve(np.zeros(2))
         assert abs(x[0]) == pytest.approx(1.0, abs=1e-12)
-        assert x[1] == pytest.approx(0.0, abs=1e-12)
+        assert abs(x[1]) == pytest.approx(0.0, abs=1e-12)
 
     def test_reference_case(self):
-        m = np.diag([1.0, 2.0])
-        d = np.array([1.0, 1.0])
-        x = solve_sphere_lsq(m, d)
-        _, cost = oracle_sphere(m, d, seed=5)
-        assert stacked_cost(m, d, x) <= cost + 1e-6
+        p = np.diag([1.0, 2.0])
+        d = np.array([1.0, 1.0j])
+        x = SphereSolver(p).solve(d)
+        _, cost = oracle_sphere(p, d, seed=5)
+        assert sphere_cost([p], [d], x) <= cost + 1e-6
         assert np.allclose(np.abs(x), [0.876, 0.483], atol=2e-3)
 
     def test_hard_case_completion(self):
-        # target orthogonal to the bottom eigenvector, secular sum below one
-        m = np.diag([1.0, 2.0])
+        # target orthogonal to the bottom eigenspace, secular sum below one
+        p = np.diag([1.0, 2.0])
         d = np.array([0.0, 0.5])
-        x = solve_sphere_lsq(m, d)
+        x = SphereSolver(p).solve(d)
         assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
-        _, cost = oracle_sphere(m, d, n_restarts=50000, seed=3)
-        assert stacked_cost(m, d, x) <= cost + 1e-6
+        _, cost = oracle_sphere(p, d, n_restarts=50000, seed=3)
+        assert sphere_cost([p], [d], x) <= cost + 1e-6
 
     def test_zero_operator_rejected(self):
-        with pytest.raises(DomainError):
-            solve_sphere_lsq(np.zeros((2, 2)), np.ones(2))
+        with pytest.raises(DomainError, match="nonzero matrix"):
+            SphereSolver(np.zeros((2, 2)))
 
     def test_unit_norm_and_oracle(self, rng):
-        for _ in range(100):
-            dim = int(rng.integers(2, 13))
-            cols = int(rng.integers(1, 13))
-            m = rng.normal(size=(dim, cols))
-            d = rng.normal(size=cols) * 10.0 ** rng.uniform(-1, 1)
-            x = solve_sphere_lsq(m, d)
+        for i in range(100):
+            ops, targets = random_sphere_problem(rng, 1 + i % 2)
+            x = SphereSolver(*ops).solve(*targets)
             assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-9)
             _, oracle_cost = oracle_sphere(
-                m, d, n_restarts=4000, n_polish=6, seed=int(rng.integers(0, 2**31))
+                np.hstack(ops), np.concatenate(targets), n_restarts=4000, n_polish=6,
+                seed=int(rng.integers(0, 2**31)),
             )
-            assert stacked_cost(m, d, x) <= oracle_cost + 1e-6
+            assert sphere_cost(ops, targets, x) <= oracle_cost + 1e-6
 
 
 class TestSphereSolver:
-    def test_matches_standalone_single_block(self, rng):
+    def test_single_block_against_oracle(self, rng):
         p = rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6))
         solver = SphereSolver(p)
-        for _ in range(5):
+        for seed in range(5):
             d = rng.normal(size=6) + 1j * rng.normal(size=6)
             x = solver.solve(d)
-            m, dt = realify(p, d)
-            xt = solve_sphere_lsq(m, dt)
-            assert np.allclose(complex_to_real(x), xt, atol=1e-8) or np.allclose(
-                complex_to_real(x), -xt, atol=1e-8
-            )
+            x_oracle, oracle_cost = oracle_sphere(p, d, seed=seed)
+            assert sphere_cost([p], [d], x) == pytest.approx(oracle_cost, rel=1e-9, abs=1e-12)
+            assert np.allclose(x, x_oracle, atol=1e-8)
 
-    def test_matches_standalone_weighted_blocks(self, rng):
+    def test_two_blocks_against_oracle(self, rng):
         p = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
         q = rng.normal(size=(3, 7)) + 1j * rng.normal(size=(3, 7))
         solver = SphereSolver(p, q)
-        for scale in (1.0, 0.2, 5.0):
+        for seed, scale in enumerate((1.0, 0.2, 5.0)):
             d1 = scale * (rng.normal(size=4) + 1j * rng.normal(size=4))
             d2 = scale * (rng.normal(size=7) + 1j * rng.normal(size=7))
             x = solver.solve(d1, d2)
-            m, dt = realify(p, d1, q, d2)
-            xt = solve_sphere_lsq(m, dt)
-            cost_cached = np.linalg.norm(m.T @ complex_to_real(x) - dt) ** 2
-            cost_direct = np.linalg.norm(m.T @ xt - dt) ** 2
-            assert cost_cached == pytest.approx(cost_direct, rel=1e-9, abs=1e-12)
+            _, oracle_cost = oracle_sphere(np.hstack((p, q)), np.concatenate((d1, d2)), seed=seed)
+            cost = sphere_cost([p, q], [d1, d2], x)
+            assert cost == pytest.approx(oracle_cost, rel=1e-9, abs=1e-12)
+
+    def test_dimension_mismatch(self):
+        p = np.ones((2, 3), dtype=complex)
+        with pytest.raises(DomainError, match="with P's rows"):
+            SphereSolver(p, np.ones((3, 4), dtype=complex))
+        with pytest.raises(DomainError, match="nonzero matrix"):
+            SphereSolver(np.ones(3, dtype=complex))
+
+    @pytest.mark.parametrize("block", ["p", "q"])
+    def test_nonfinite_operator_rejected(self, block):
+        ops = {"p": np.ones((2, 3), dtype=complex), "q": np.ones((2, 4), dtype=complex)}
+        ops[block][1, 2] = np.nan
+        with pytest.raises(DomainError, match="must be a finite"):
+            SphereSolver(ops["p"], ops["q"])
 
     def test_solve_reuses_the_eigensystem(self, rng, monkeypatch):
         p = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))

@@ -14,11 +14,11 @@ def wosc_cost(g0, g, y, rho):
     return -g0 + np.sum(np.abs(np.asarray(y) - g) ** 2) / (2.0 * rho)
 
 
-def wsc_cost(g0, g, h, z1, z2, rho1, rho2):
+def wsc_cost(g0, g, h, z1, z2, rho):
     return (
         -g0
-        + np.sum(np.abs(np.asarray(z1) - g) ** 2) / (2.0 * rho1)
-        + np.sum(np.abs(np.asarray(z2) - h) ** 2) / (2.0 * rho2)
+        + np.sum(np.abs(np.asarray(z1) - g) ** 2) / (2.0 * rho)
+        + np.sum(np.abs(np.asarray(z2) - h) ** 2) / (2.0 * rho)
     )
 
 
@@ -82,14 +82,14 @@ class TestLevelUpdateWosc:
 class TestLevelUpdateWsc:
     def test_all_zero_inputs(self):
         g0, g, h = update_gh_wsc(
-            np.zeros(2, dtype=complex), np.zeros(5, dtype=complex), 1000.0, 1000.0, 0.01
+            np.zeros(2, dtype=complex), np.zeros(5, dtype=complex), 1000.0, 0.01
         )
         assert g0 == pytest.approx(500.0)
         assert np.allclose(g, [500.0, 500.0])
         assert np.allclose(h, np.zeros(5))
 
     def test_unit_gamma(self):
-        g0, g, h = update_gh_wsc([2.0 + 0j], [1.0 + 0j], 1.0, 1.0, 1.0)
+        g0, g, h = update_gh_wsc([2.0 + 0j], [1.0 + 0j], 1.0, 1.0)
         assert g0 == pytest.approx(3.0)
         assert np.allclose(g, [3.0])
         assert np.allclose(h, [1.0])
@@ -97,18 +97,18 @@ class TestLevelUpdateWsc:
     def test_small_gamma_against_oracle(self):
         z1 = np.array([2.0 + 0j])
         z2 = np.array([1.0 + 0j])
-        g0, g, h = update_gh_wsc(z1, z2, 1.0, 1.0, 0.04)
-        oracle_g0, oracle_cost = oracle_g0_grid_wsc(z1, z2, 1.0, 1.0, 0.04)
+        g0, g, h = update_gh_wsc(z1, z2, 1.0, 0.04)
+        oracle_g0, oracle_cost = oracle_g0_grid_wsc(z1, z2, 1.0, 0.04)
         assert g0 == pytest.approx(40.0 / 13.0, abs=1e-9)
         assert g0 == pytest.approx(oracle_g0, abs=1e-3)
         assert np.allclose(g, [40.0 / 13.0])
         assert np.allclose(h, [8.0 / 13.0])
-        assert wsc_cost(g0, g, h, z1, z2, 1.0, 1.0) <= oracle_cost + 1e-9
+        assert wsc_cost(g0, g, h, z1, z2, 1.0) <= oracle_cost + 1e-9
 
     def test_empty_sidelobe_delegates(self, rng):
         y = rng.normal(size=5) + 1j * rng.normal(size=5)
         g0_a, g_a = update_g_wosc(y, 7.0)
-        g0_b, g_b, h = update_gh_wsc(y, np.zeros(0, dtype=complex), 7.0, 3.0, 0.1)
+        g0_b, g_b, h = update_gh_wsc(y, np.zeros(0, dtype=complex), 7.0, 0.1)
         assert g0_a == g0_b
         assert np.allclose(g_a, g_b)
         assert h.size == 0
@@ -119,10 +119,9 @@ class TestLevelUpdateWsc:
             l2 = int(rng.integers(0, 10))
             z1 = (rng.normal(size=l1) + 1j * rng.normal(size=l1)) * 10.0 ** rng.uniform(-1, 2)
             z2 = (rng.normal(size=l2) + 1j * rng.normal(size=l2)) * 10.0 ** rng.uniform(-1, 2)
-            rho1 = 10.0 ** rng.uniform(-1, 3)
-            rho2 = 10.0 ** rng.uniform(-1, 3)
+            rho = 10.0 ** rng.uniform(-1, 3)
             gamma = 10.0 ** rng.uniform(-4, 0.5)
-            g0, g, h = update_gh_wsc(z1, z2, rho1, rho2, gamma)
+            g0, g, h = update_gh_wsc(z1, z2, rho, gamma)
             assert g0 > 0
             assert np.all(np.abs(g) >= g0 - 1e-12)
             assert np.all(np.abs(h) <= np.sqrt(gamma) * g0 + 1e-12)
@@ -136,12 +135,9 @@ class TestLevelUpdateWsc:
             l2 = int(rng.integers(1, 13))
             z1 = (rng.normal(size=l1) + 1j * rng.normal(size=l1)) * 10.0 ** rng.uniform(-2, 3)
             z2 = (rng.normal(size=l2) + 1j * rng.normal(size=l2)) * 10.0 ** rng.uniform(-2, 3)
-            rho1 = 10.0 ** rng.uniform(-1, 3.5)
-            rho2 = 10.0 ** rng.uniform(-1, 3.5)
+            rho = 10.0 ** rng.uniform(-1, 3.5)
             gamma = 10.0 ** rng.uniform(-4, 0.5)
-            g0, _, _ = update_gh_wsc(z1, z2, rho1, rho2, gamma)
-            engine_cost = float(
-                clamped_cost_wsc(np.asarray([g0]), z1, z2, rho1, rho2, gamma)[0]
-            )
-            _, oracle_cost = oracle_g0_grid_wsc(z1, z2, rho1, rho2, gamma)
+            g0, _, _ = update_gh_wsc(z1, z2, rho, gamma)
+            engine_cost = float(clamped_cost_wsc(np.asarray([g0]), z1, z2, rho, gamma)[0])
+            _, oracle_cost = oracle_g0_grid_wsc(z1, z2, rho, gamma)
             assert engine_cost <= oracle_cost + 1e-6

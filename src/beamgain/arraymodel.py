@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import get_lapack_funcs, solve_triangular
 
 from .errors import (
     DegenerateGeometryError,
@@ -26,7 +25,7 @@ from .errors import (
     IngestionError,
     NumericalError,
 )
-from .sphere import RowBlockedProduct, one_blas_thread
+from .sphere import RowBlockedProduct, _openblas_builds, one_blas_thread
 
 __all__ = [
     "AngularGrid",
@@ -39,6 +38,7 @@ __all__ = [
     "factorize",
     "load_aep",
     "power_gain_pattern",
+    "solve_upper",
     "steering_matrix",
     "steering_vector",
     "synth_aep",
@@ -235,17 +235,65 @@ def build_total_power_matrix(
     return a
 
 
+def _openblas_lapack():
+    """``(zpotrf, ztrtrs)`` of numpy's OpenBLAS, or None where it lacks them.
+
+    numpy's build is ILP64: its integers are 64-bit and its symbols carry
+    the suffix ``64_``.  Without it (numpy built on MKL or Accelerate) the
+    callers run the same LAPACK routines through ``scipy.linalg``, imported
+    only then.
+    """
+    build = _openblas_builds().get("numpy")
+    if build is None:
+        return None
+    try:
+        potrf, trtrs = build.lib.scipy_zpotrf_64_, build.lib.scipy_ztrtrs_64_
+    except AttributeError:
+        return None
+    if trtrs.argtypes is None:
+        import ctypes
+
+        flag, ptr, length = ctypes.c_char_p, ctypes.c_void_p, ctypes.c_size_t
+        num = ctypes.POINTER(ctypes.c_int64)
+        # Fortran passes each character flag's length after the arguments
+        potrf.argtypes = [flag, num, ptr, num, num, length]
+        trtrs.argtypes = [
+            flag, flag, flag, num, num, ptr, num, ptr, num, num, length, length, length
+        ]
+        potrf.restype = trtrs.restype = None
+    return potrf, trtrs
+
+
 def factorize(a: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """Upper-triangular factor C with ``C^H C = A``."""
+    """Upper-triangular factor C with ``C^H C = A``, Fortran-ordered.
+
+    LAPACK ``zpotrf`` on the upper triangle, with the lower one zeroed.
+    """
     a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DomainError("can only factorize a square matrix")
     norm_a = np.linalg.norm(a)
     if norm_a == 0:
         raise DomainError("cannot factorize the zero matrix")
     if np.linalg.norm(a - a.conj().T) > 1e-12 * norm_a:
         raise DomainError("matrix is not Hermitian within tolerance")
     a = 0.5 * (a + a.conj().T)
-    (potrf,) = get_lapack_funcs(("potrf",), (a,))
-    c, info = potrf(a, lower=False, clean=True)
+    lapack = _openblas_lapack()
+    if lapack is None:
+        from scipy.linalg import get_lapack_funcs
+
+        (potrf,) = get_lapack_funcs(("potrf",), (a,))
+        c, info = potrf(a, lower=False, clean=True)
+    else:
+        import ctypes
+
+        n = ctypes.c_int64(a.shape[0])
+        status = ctypes.c_int64()
+        c = np.array(a, order="F")
+        zpotrf, _ = lapack
+        zpotrf(b"U", n, c.ctypes.data, n, status, 1)
+        c[np.tril_indices(a.shape[0], -1)] = 0.0
+        info = status.value
     if info > 0:
         raise FactorizationError(
             f"matrix not positive definite at pivot {info - 1}",
@@ -254,6 +302,45 @@ def factorize(a: NDArray[np.complex128]) -> NDArray[np.complex128]:
     if info < 0:
         raise FactorizationError(f"invalid factorization argument {-info}")
     return c
+
+
+def solve_upper(
+    c_factor: NDArray[np.complex128], b, adjoint: bool = False
+) -> NDArray[np.complex128]:
+    """``C^{-1} b``, or ``C^{-H} b`` when ``adjoint``, for an upper-triangular C.
+
+    LAPACK ``ztrtrs``, the routine ``scipy.linalg.solve_triangular`` calls;
+    as there, a non-finite entry in either operand raises ``ValueError`` and
+    a zero on the diagonal ``numpy.linalg.LinAlgError``.
+    """
+    lapack = _openblas_lapack()
+    if lapack is None:
+        from scipy.linalg import solve_triangular
+
+        return solve_triangular(c_factor, b, lower=False, trans="C" if adjoint else "N")
+    import ctypes
+
+    c = np.asfortranarray(np.asarray_chkfinite(c_factor), dtype=complex)
+    x = np.array(np.asarray_chkfinite(b), dtype=complex, order="F")
+    n = c.shape[0] if c.ndim == 2 else -1
+    if c.shape != (n, n) or x.ndim not in (1, 2) or x.shape[0] != n:
+        raise DomainError(
+            f"cannot solve a triangular {c.shape} system for {x.shape}"
+        )
+    rows = ctypes.c_int64(n)
+    lead = ctypes.c_int64(max(n, 1))
+    status = ctypes.c_int64()
+    _, ztrtrs = lapack
+    ztrtrs(
+        b"U", b"C" if adjoint else b"N", b"N", rows,
+        ctypes.c_int64(x.shape[1] if x.ndim == 2 else 1),
+        c.ctypes.data, lead, x.ctypes.data, lead, status, 1, 1, 1,
+    )
+    if status.value:
+        raise np.linalg.LinAlgError(
+            f"singular matrix: resolution failed at diagonal {status.value - 1}"
+        )
+    return x
 
 
 def build_region_operator(
@@ -268,7 +355,7 @@ def build_region_operator(
     if grid is None or grid.size == 0:
         return np.zeros((n, 0), dtype=complex)
     steer = steering_matrix(geometry, grid.angles)
-    return solve_triangular(c_factor, steer, lower=False, trans="C")
+    return solve_upper(c_factor, steer, adjoint=True)
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,11 @@ against :func:`beamgain.oracles.oracle_sphere`.
 
 from __future__ import annotations
 
+import sys
 import threading
 from contextlib import contextmanager
 from math import isfinite
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -53,8 +55,9 @@ _OPENBLAS_MODULES = {
     "numpy": ("numpy.linalg._umath_linalg", "64_"),
     "scipy": ("scipy.linalg._flapack", ""),
 }
-# name -> (get_num_threads, set_num_threads, config string) of each build
-# found, looked up on first use
+# name -> the _Build of each build looked up so far, or None where its module
+# lacks the symbols; a build whose module is not loaded yet is looked up again
+# on the next use
 _openblas = None
 # The one_blas_thread blocks open in this process, over all its threads, and
 # the (set_num_threads, count) pairs the first of them saved.
@@ -63,37 +66,61 @@ _one_thread_blocks = 0
 _saved_counts: list = []
 
 
-def _openblas_builds() -> dict:
-    """The OpenBLAS builds found through :data:`_OPENBLAS_MODULES`.
+class _Build(NamedTuple):
+    """One OpenBLAS build: its thread-count calls, config string and library."""
 
-    A build whose module or symbols are missing is left out.  ``ctypes`` is
-    imported here, so that ``import beamgain`` does not pay for it.
+    get: Callable[[], int]
+    put: Callable[[int], None]
+    config: str
+    lib: object
+
+
+def _bind_build(module, suffix: str) -> _Build | None:
+    """The build the extension ``module`` links, or None without its symbols."""
+    import ctypes
+
+    try:
+        lib = ctypes.CDLL(module.__file__)
+        get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+        put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+        config = getattr(lib, f"scipy_openblas_get_config{suffix}")
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    config.argtypes, config.restype = [], ctypes.c_char_p
+    return _Build(get, put, config().decode(), lib)
+
+
+def _openblas_builds() -> dict[str, _Build]:
+    """The OpenBLAS builds of :data:`_OPENBLAS_MODULES` whose modules are loaded.
+
+    No module is imported here, so SciPy's build is found only once
+    something else has loaded ``scipy.linalg`` (the warm start of
+    :func:`beamgain.oracles.dual_certificate` does).  A build whose symbols
+    are missing is left out.  ``ctypes`` is imported on the first lookup, so
+    that ``import beamgain`` does not pay for it.
     """
     global _openblas
-    if _openblas is None:
-        import ctypes
-        import importlib
-
-        found = {}
-        for name, (module, suffix) in _OPENBLAS_MODULES.items():
-            try:
-                lib = ctypes.CDLL(importlib.import_module(module).__file__)
-                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
-                put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
-                config = getattr(lib, f"scipy_openblas_get_config{suffix}")
-            except (ImportError, OSError, AttributeError):
-                continue
-            get.argtypes, get.restype = [], ctypes.c_int
-            put.argtypes, put.restype = [ctypes.c_int], None
-            config.argtypes, config.restype = [], ctypes.c_char_p
-            found[name] = (get, put, config().decode())
-        _openblas = found
-    return _openblas
+    looked_up = {} if _openblas is None else _openblas
+    pending = [
+        (name, sys.modules[module], suffix)
+        for name, (module, suffix) in _OPENBLAS_MODULES.items()
+        if name not in looked_up and module in sys.modules
+    ]
+    if pending:
+        # a new dict, so that a caller in another thread iterating the old
+        # one never sees it change
+        looked_up = dict(looked_up)
+        for name, module, suffix in pending:
+            looked_up[name] = _bind_build(module, suffix)
+        _openblas = looked_up
+    return {name: build for name, build in looked_up.items() if build is not None}
 
 
 def blas_threads() -> dict[str, int]:
-    """Thread count of each OpenBLAS build found, e.g. ``{"numpy": 2, "scipy": 2}``."""
-    return {name: get() for name, (get, _, _) in _openblas_builds().items()}
+    """Thread count of each OpenBLAS build found, e.g. ``{"numpy": 2}``."""
+    return {name: build.get() for name, build in _openblas_builds().items()}
 
 
 @contextmanager
@@ -110,7 +137,7 @@ def one_blas_thread():
     with _one_thread_lock:
         if _one_thread_blocks == 0:
             builds = _openblas_builds().values()
-            _saved_counts = [(put, get()) for get, put, _ in builds]
+            _saved_counts = [(build.put, build.get()) for build in builds]
             for put, _ in _saved_counts:
                 put(1)
         _one_thread_blocks += 1

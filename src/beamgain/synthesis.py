@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import solve_triangular
 
 from . import engine
 from .arraymodel import (
@@ -24,6 +23,7 @@ from .arraymodel import (
     GainOperators,
     build_gain_operators,
     power_gain_pattern,
+    solve_upper,
 )
 from .engine import AdmmConfig, AdmmHistory, AdmmState, run_wosc, run_wsc
 from .errors import BeamgainError, DomainError
@@ -217,7 +217,7 @@ def _finish(setup: _SetUp, state: AdmmState) -> SynthesisResult:
     """Weights, patterns and metrics of a finished loop."""
     problem, ops = setup.problem, setup.ops
     mainlobe, sidelobe = setup.mainlobe, setup.sidelobe
-    weights_effective = solve_triangular(ops.C, state.x, lower=False)
+    weights_effective = solve_upper(ops.C, state.x)
     weights_physical = weights_effective / np.sqrt(problem.geometry.efficiencies)
 
     pattern_angles = _full_span_grid(problem.resolution_deg)
@@ -386,9 +386,8 @@ def scan_sweep(problem: SynthesisProblem, centers) -> list[SweepRow]:
     for the lock.
 
     Forked workers start from the parent's loaded modules; spawned ones
-    would import numpy, scipy and beamgain again for each sweep.  The pool
-    modules are imported here so that ``import beamgain`` does not pay for
-    them.
+    would import numpy and beamgain again for each sweep.  The pool modules
+    are imported here so that ``import beamgain`` does not pay for them.
     """
     import multiprocessing
 

@@ -11,8 +11,8 @@ def pytest_report_header(config):
     if not builds:
         return "OpenBLAS: no build found"
     return [
-        f"OpenBLAS ({name}): {build_config}, {get()} threads"
-        for name, (get, _, build_config) in builds.items()
+        f"OpenBLAS ({name}): {build.config}, {build.get()} threads"
+        for name, build in builds.items()
     ]
 
 

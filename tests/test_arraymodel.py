@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import solve_triangular
 
 from beamgain import (
+    AdmmConfig,
     AngularGrid,
     ArrayGeometry,
     DegenerateGeometryError,
@@ -10,18 +12,27 @@ from beamgain import (
     ElementPattern,
     FactorizationError,
     IngestionError,
+    SynthesisProblem,
+    assemble_regions,
     build_gain_operators,
     build_region_operator,
     build_total_power_matrix,
     factorize,
+    gamma_from_dsll,
     load_aep,
+    nonuniform41,
     power_gain_pattern,
+    run_wosc,
+    run_wsc,
     steering_matrix,
     steering_vector,
     synth_aep,
+    synthesize,
     ula41,
     write_aep,
 )
+from beamgain import arraymodel, sphere
+from beamgain.arraymodel import solve_upper
 from conftest import random_geometry
 
 
@@ -331,3 +342,127 @@ class TestElementPatterns:
         )
         with pytest.raises(IngestionError):
             load_aep(path)
+
+
+def _tapered_nonuniform41():
+    """Acceptance criterion 7's array: nonuniform41 with synthetic 45 deg patterns."""
+    base = nonuniform41()
+    return ArrayGeometry(
+        positions=base.positions,
+        efficiencies=base.efficiencies,
+        element_patterns=synth_aep(45.0, base.n_elements),
+    )
+
+
+def _scipy_operators(geometry, mainlobe, sidelobe):
+    """C, P and Q from ``scipy.linalg``'s ``potrf`` and ``solve_triangular``."""
+    a = build_total_power_matrix(geometry)
+    (potrf,) = scipy.linalg.get_lapack_funcs(("potrf",), (a,))
+    c, info = potrf(0.5 * (a + a.conj().T), lower=False, clean=True)
+    assert info == 0
+
+    def region(grid):
+        steer = steering_matrix(geometry, grid.angles)
+        return solve_triangular(c, steer, lower=False, trans="C")
+
+    q = np.zeros((geometry.n_elements, 0), dtype=complex)
+    if sidelobe:
+        q = np.hstack([region(seg) for seg in sidelobe])
+    return c, region(mainlobe), q
+
+
+def _scipy_pivot(a):
+    (potrf,) = scipy.linalg.get_lapack_funcs(("potrf",), (a,))
+    _, info = potrf(a, lower=False, clean=True)
+    assert info > 0
+    return info - 1
+
+
+_INDEFINITE = [
+    np.array([[1.0, 2.0], [2.0, 1.0]], dtype=complex),
+    np.diag([4.0, 1.0, -1.0, 2.0, 3.0]).astype(complex),
+    np.diag([4.0, 1.0, 2.0, 3.0, 0.0]).astype(complex),
+]
+
+
+@pytest.fixture(params=["openblas", "scipy"])
+def lapack(request, monkeypatch):
+    """Which LAPACK the factor and the solves run: numpy's OpenBLAS, or,
+    with no numpy build found, the fallback through ``scipy.linalg``."""
+    if request.param == "scipy":
+        monkeypatch.setattr(
+            sphere, "_OPENBLAS_MODULES", {"numpy": ("numpy.fft._pocketfft_umath", "64_")}
+        )
+        monkeypatch.setattr(sphere, "_openblas", None)
+        assert arraymodel._openblas_lapack() is None
+    elif arraymodel._openblas_lapack() is None:
+        pytest.skip("needs the OpenBLAS that numpy bundles")
+    return request.param
+
+
+class TestLapackMatchesScipy:
+    """The factor, the region operators and the weights equal, bit for bit,
+    what ``scipy.linalg`` gives for the same calls."""
+
+    @pytest.mark.parametrize("dsll", [None, -35.0])
+    @pytest.mark.parametrize(
+        "fixture, center",
+        [(ula41, 0.0), (ula41, 9.5), (nonuniform41, 0.0), (nonuniform41, 9.5),
+         (_tapered_nonuniform41, 0.0)],
+    )
+    def test_operators_and_weights(self, lapack, fixture, center, dsll):
+        geometry = fixture()
+        mainlobe, sidelobe = assemble_regions(center, 20.0, 3.0, 0.5)
+        sidelobe = sidelobe if dsll is not None else ()
+        ops = build_gain_operators(geometry, mainlobe, sidelobe)
+        c, p, q = _scipy_operators(geometry, mainlobe, sidelobe)
+        assert np.array_equal(ops.C, c) and ops.C.flags.f_contiguous
+        assert np.array_equal(ops.P, p)
+        assert np.array_equal(ops.Q, q) and ops.Q.shape[1] == (310 if sidelobe else 0)
+
+        cfg = AdmmConfig(rho_init=2000.0, rho_decay=0.99, iter_max=30)
+        if dsll is None:
+            state = run_wosc(ops, cfg)
+        else:
+            state = run_wsc(ops, cfg, gamma_from_dsll(dsll))
+        result = synthesize(SynthesisProblem(
+            geometry=geometry, beam_center_deg=center, beamwidth_deg=20.0,
+            dsll_db=dsll, admm=cfg,
+        ))
+        weights = solve_triangular(ops.C, state.x, lower=False)
+        assert np.array_equal(result.weights_effective, weights)
+
+    def test_solves_on_random_vectors(self, lapack, rng):
+        mainlobe, _ = assemble_regions(0.0, 20.0, 3.0, 0.5)
+        c = build_gain_operators(nonuniform41(), mainlobe).C
+        for _ in range(200):
+            x = rng.normal(size=41) + 1j * rng.normal(size=41)
+            assert np.array_equal(solve_upper(c, x), solve_triangular(c, x, lower=False))
+            assert np.array_equal(
+                solve_upper(c, x, adjoint=True),
+                solve_triangular(c, x, lower=False, trans="C"),
+            )
+
+    @pytest.mark.parametrize("a", _INDEFINITE, ids=["2x2", "pivot2", "pivot4"])
+    def test_pivot_index(self, lapack, a):
+        with pytest.raises(FactorizationError) as excinfo:
+            factorize(a)
+        assert excinfo.value.pivot_index == _scipy_pivot(a)
+
+    @pytest.mark.parametrize("operand", ["factor", "rhs"])
+    def test_non_finite_input_raises(self, lapack, operand):
+        c, b = np.eye(3, dtype=complex), np.ones(3, dtype=complex)
+        if operand == "factor":
+            c[0, 2] = np.nan
+        else:
+            b[1] = np.inf
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve_upper(c, b)
+
+    def test_mismatched_shapes_rejected(self, lapack):
+        with pytest.raises(ValueError):
+            solve_upper(np.eye(3, dtype=complex), np.ones(4, dtype=complex))
+        with pytest.raises(ValueError):
+            solve_upper(np.ones((3, 4), dtype=complex), np.ones(3, dtype=complex))
+        with pytest.raises(DomainError):
+            factorize(np.ones(3, dtype=complex))

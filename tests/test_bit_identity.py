@@ -2,14 +2,16 @@
 
 The loop amplifies rounding exponentially: a 5e-15 change in ``P^H x`` at
 iteration 0 grows to order one within about a hundred iterations on ula41
-with a 30 deg beam.  Speed-ups of ``engine`` and ``sphere`` must therefore
-leave every floating-point result unchanged.  The reference below keeps the
-earlier ``_run``, ``update_duals``, ``SphereSolver``, ``_unit_coefficients``
-and ``secular_bisect`` verbatim, with the helpers they call and the state,
-history and configuration records they read, and two full acceptance rows
-must agree bit for bit.  The reference carries separate mainlobe and
-sidelobe penalties ``rho1`` and ``rho2``; both start at ``rho_init`` and
-decay together, so each must equal the single production ``rho``.
+with a 30 deg beam.  Speed-ups of ``engine``, ``sphere`` and
+``subproblems`` must therefore leave every floating-point result unchanged.
+The reference below keeps the earlier ``_run``, ``update_duals``,
+``SphereSolver``, ``_unit_coefficients``, ``secular_bisect`` and the level
+updates ``update_g_wosc`` and ``update_gh_wsc`` verbatim, with the helpers
+they call and the state, history and configuration records they read, and
+two full acceptance rows must agree bit for bit.  The reference carries
+separate mainlobe and sidelobe penalties ``rho1`` and ``rho2``; both start
+at ``rho_init`` and decay together, so each must equal the single
+production ``rho``.
 """
 
 from dataclasses import dataclass, field, fields, replace
@@ -30,8 +32,6 @@ from beamgain import (
     run_wosc,
     run_wsc,
     ula41,
-    update_g_wosc,
-    update_gh_wsc,
 )
 from beamgain.engine import AdmmHistory, amplitude_to_dbi
 
@@ -320,6 +320,125 @@ class SphereSolver:
         alpha = _unit_coefficients(lambdas, beta, self._tol)
         x = u @ alpha
         return real_to_complex(x / np.linalg.norm(x))
+
+
+def _checked_complex(name: str, values) -> NDArray[np.complex128]:
+    arr = np.asarray(values, dtype=complex)
+    if arr.ndim != 1:
+        raise DomainError(f"{name} must be a 1-D vector")
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"{name} contains non-finite entries")
+    return arr
+
+
+def update_g_wosc(
+    y, rho: float
+) -> tuple[float, NDArray[np.complex128]]:
+    """Minimize ``-g0 + ||y - g||^2 / (2 rho)`` over ``|g_l| >= g0 > 0``.
+
+    The sorted moduli of y split (0, inf) into len(y)+1 subdomains.  Inside
+    each, the clamp set is the entries below g0 and the restricted cost is a
+    quadratic with unconstrained minimizer ``(rho + sum of clamped moduli) /
+    count``, clipped to the subdomain.  Returns the winning ``(g0, g)`` with
+    ``g = max(g0, |y|) * exp(1j angle(y))``.
+    """
+    y = _checked_complex("y", y)
+    if y.size == 0:
+        raise DomainError("y must have at least one entry")
+    if not rho > 0:
+        raise DomainError("rho must be positive")
+    moduli = np.sort(np.abs(y))
+    count = np.arange(moduli.size + 1)
+    clamped_sum = np.concatenate(([0.0], np.cumsum(moduli)))
+    clamped_sumsq = np.concatenate(([0.0], np.cumsum(moduli * moduli)))
+    lower = np.concatenate(([0.0], moduli))
+    upper = np.concatenate((moduli, [np.inf]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        stationary = (rho + clamped_sum) / count
+    candidates = np.clip(stationary, lower, upper)
+    candidates[0] = upper[0]
+    cost = -candidates + (
+        count * candidates**2 - 2.0 * candidates * clamped_sum + clamped_sumsq
+    ) / (2.0 * rho)
+    g0 = float(candidates[np.argmin(cost)])
+    g = np.maximum(np.abs(y), g0) * np.exp(1j * np.angle(y))
+    return g0, g
+
+
+def update_gh_wsc(
+    z1, z2, rho: float, gamma: float
+) -> tuple[float, NDArray[np.complex128], NDArray[np.complex128]]:
+    """Joint minimizer with mainlobe floor and sidelobe cap constraints.
+
+    Breakpoints are the merged ascending values of ``|z1|`` and
+    ``|z2|/sqrt(gamma)``.  Within a subdomain the mainlobe clamp set is the
+    entries with threshold below g0 and the sidelobe clamp set those with
+    threshold above g0; the stationary point of the restricted quadratic is
+
+        (rho^2 + rho S1 + rho sqrt(gamma) S2) / (rho k1 + rho gamma k2)
+
+    with S1, k1 the clamped mainlobe modulus sum/count and S2, k2 the
+    clamped sidelobe ones.  An empty sidelobe vector reduces to
+    :func:`update_g_wosc`.
+    """
+    z1 = _checked_complex("z1", z1)
+    z2 = _checked_complex("z2", z2)
+    if z1.size == 0:
+        raise DomainError("z1 must have at least one entry")
+    if not rho > 0:
+        raise DomainError("rho must be positive")
+    if not gamma > 0:
+        raise DomainError("gamma must be positive")
+    if z2.size == 0:
+        g0, g = update_g_wosc(z1, rho)
+        return g0, g, np.zeros(0, dtype=complex)
+
+    sqrt_gamma = float(np.sqrt(gamma))
+    abs1 = np.abs(z1)
+    abs2 = np.abs(z2)
+    thresholds = np.concatenate((abs1, abs2 / sqrt_gamma))
+    is_sidelobe = np.concatenate(
+        (np.zeros(abs1.size, dtype=bool), np.ones(abs2.size, dtype=bool))
+    )
+    moduli = np.concatenate((abs1, abs2))
+    order = np.argsort(thresholds, kind="stable")
+    thresholds = thresholds[order]
+    is_sidelobe = is_sidelobe[order]
+    moduli = moduli[order]
+
+    ml_moduli = np.where(is_sidelobe, 0.0, moduli)
+    k1 = np.concatenate(([0], np.cumsum(~is_sidelobe)))
+    s1 = np.concatenate(([0.0], np.cumsum(ml_moduli)))
+    q1 = np.concatenate(([0.0], np.cumsum(ml_moduli * ml_moduli)))
+
+    sl_moduli = np.where(is_sidelobe, moduli, 0.0)
+    sl_prefix = np.concatenate(([0], np.cumsum(is_sidelobe)))
+    k2 = sl_prefix[-1] - sl_prefix
+    s2 = np.sum(sl_moduli) - np.concatenate(([0.0], np.cumsum(sl_moduli)))
+    q2 = np.sum(sl_moduli * sl_moduli) - np.concatenate(
+        ([0.0], np.cumsum(sl_moduli * sl_moduli))
+    )
+
+    lower = np.concatenate(([0.0], thresholds))
+    upper = np.concatenate((thresholds, [np.inf]))
+    # rho is not cancelled: the ADMM loop amplifies rounding, so cancelling
+    # it would change every constrained answer
+    numerator = rho * rho + rho * s1 + rho * sqrt_gamma * s2
+    denominator = rho * k1 + rho * gamma * k2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        stationary = numerator / denominator
+    candidates = np.where(denominator > 0, stationary, upper)
+    candidates = np.clip(candidates, lower, upper)
+    cost = (
+        -candidates
+        + (k1 * candidates**2 - 2.0 * candidates * s1 + q1) / (2.0 * rho)
+        + (gamma * k2 * candidates**2 - 2.0 * sqrt_gamma * candidates * s2 + q2)
+        / (2.0 * rho)
+    )
+    g0 = float(candidates[np.argmin(cost)])
+    g = np.maximum(abs1, g0) * np.exp(1j * np.angle(z1))
+    h = np.minimum(abs2, sqrt_gamma * g0) * np.exp(1j * np.angle(z2))
+    return g0, g, h
 
 
 def update_duals(

@@ -1,3 +1,4 @@
+import json
 import os
 import pickle
 import subprocess
@@ -192,21 +193,26 @@ for op in operands:
 """
 
 
+def _child_output(script, threads=None):
+    """Stdout of ``script`` in a fresh interpreter, at ``threads`` BLAS threads.
+
+    ``None`` leaves OpenBLAS at its default count.
+    """
+    src = str(Path(sphere.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    return done.stdout
+
+
 def _child_outputs(script):
     """Stdout of ``script`` at the default BLAS thread count and at one thread."""
-    src = str(Path(sphere.__file__).resolve().parents[1])
-    outputs = []
-    for threads in (None, "1"):
-        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        if threads is not None:
-            env["OPENBLAS_NUM_THREADS"] = threads
-        done = subprocess.run(
-            [sys.executable, "-c", script],
-            env=env, capture_output=True, text=True, timeout=120, check=True,
-        )
-        outputs.append(done.stdout)
-    return outputs
+    return [_child_output(script, threads) for threads in (None, "1")]
 
 
 # Computes the set-up results that run on one BLAS thread from the plain
@@ -248,6 +254,40 @@ def test_one_thread_set_up_results_independent_of_thread_count():
     assert outputs[0] == outputs[1]
 
 
+# The CLI module and an unconstrained and a constrained run load no SciPy
+# module, so only numpy's build is found; importing scipy.linalg afterwards
+# adds SciPy's, which one_blas_thread then pins as well (each build is set to
+# two threads first).
+_CHILD_SCIPY_FREE = """
+import json
+import sys
+
+import beamgain.cli
+from beamgain import AdmmConfig, SynthesisProblem, nonuniform41, sphere, synthesize
+from beamgain.sphere import blas_threads, one_blas_thread
+
+for dsll in (None, -20.0):
+    synthesize(SynthesisProblem(
+        geometry=nonuniform41(), beam_center_deg=0.0, beamwidth_deg=20.0,
+        dsll_db=dsll, admm=AdmmConfig(rho_init=2000.0, iter_max=20),
+    ))
+out = {
+    "scipy_modules": sorted(m for m in sys.modules if m.startswith("scipy")),
+    "builds_after_runs": sorted(blas_threads()),
+}
+import scipy.linalg
+
+builds = sphere._openblas_builds()
+out["builds_after_scipy"] = sorted(builds)
+for build in builds.values():
+    build.put(2)
+with one_blas_thread():
+    out["inside_block"] = blas_threads()
+out["after_block"] = blas_threads()
+print(json.dumps(out))
+"""
+
+
 @pytest.fixture
 def two_blas_threads():
     """Names of the OpenBLAS builds found, each set to two threads, then restored."""
@@ -255,11 +295,11 @@ def two_blas_threads():
     if not builds:
         pytest.skip("no OpenBLAS build found")
     saved = blas_threads()
-    for _, put, _ in builds.values():
-        put(2)
+    for build in builds.values():
+        build.put(2)
     yield sorted(builds)
-    for name, (_, put, _) in builds.items():
-        put(saved[name])
+    for name, build in builds.items():
+        build.put(saved[name])
 
 
 class TestOneBlasThread:
@@ -310,9 +350,19 @@ class TestOneBlasThread:
     def test_builds_are_found_by_symbol(self):
         builds = sphere._openblas_builds()
         assert set(builds) <= {"numpy", "scipy"}
-        for get, _, config in builds.values():
-            assert get() >= 1
-            assert config.startswith("OpenBLAS")
+        for build in builds.values():
+            assert build.get() >= 1
+            assert build.config.startswith("OpenBLAS")
+
+    def test_runs_load_no_scipy_and_scipy_build_is_found_once_loaded(self):
+        if "numpy" not in sphere._openblas_builds():
+            pytest.skip("needs the OpenBLAS that numpy bundles")
+        out = json.loads(_child_output(_CHILD_SCIPY_FREE))
+        assert out["scipy_modules"] == []
+        assert out["builds_after_runs"] == ["numpy"]
+        assert out["builds_after_scipy"] == ["numpy", "scipy"]
+        assert out["inside_block"] == {"numpy": 1, "scipy": 1}
+        assert out["after_block"] == {"numpy": 2, "scipy": 2}
 
     @pytest.mark.parametrize(
         "module", ["numpy.fft._pocketfft_umath", "beamgain._no_such_module"]

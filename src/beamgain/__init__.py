@@ -11,9 +11,7 @@ from .arraymodel import (
     load_aep,
     power_gain_pattern,
     steering_matrix,
-    steering_vector,
     synth_aep,
-    write_aep,
 )
 from .engine import AdmmConfig, AdmmState, run_wosc, run_wsc
 from .errors import (

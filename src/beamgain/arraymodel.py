@@ -40,9 +40,7 @@ __all__ = [
     "power_gain_pattern",
     "solve_upper",
     "steering_matrix",
-    "steering_vector",
     "synth_aep",
-    "write_aep",
 ]
 
 _DB_FLOOR = 1e-30
@@ -73,8 +71,9 @@ class ElementPattern:
     def coverage(self) -> tuple[float, float]:
         return float(self.angles_deg[0]), float(self.angles_deg[-1])
 
-    def covers(self, lo: float = -90.0, hi: float = 90.0) -> bool:
-        return self.angles_deg[0] <= lo and self.angles_deg[-1] >= hi
+    def covers(self) -> bool:
+        """Whether the table spans the whole visible region [-90, 90] deg."""
+        return self.angles_deg[0] <= -90.0 and self.angles_deg[-1] >= 90.0
 
     def __call__(self, theta_deg) -> NDArray[np.complex128]:
         theta = np.atleast_1d(np.asarray(theta_deg, dtype=float))
@@ -140,10 +139,9 @@ class ArrayGeometry:
 
 @dataclass(frozen=True)
 class AngularGrid:
-    """Uniform angle grid in degrees inside the visible region."""
+    """Angle samples in degrees inside the visible region."""
 
     angles: NDArray[np.float64]
-    resolution: float
 
     def __post_init__(self):
         angles = np.asarray(self.angles, dtype=float)
@@ -151,12 +149,6 @@ class AngularGrid:
             raise DomainError("angular grid must be a non-empty 1-D sequence")
         if np.any(angles < -90.0 - 1e-12) or np.any(angles > 90.0 + 1e-12):
             raise DomainError("grid angles must lie within [-90, 90] deg")
-        if self.resolution <= 0:
-            raise DomainError("grid resolution must be positive")
-        if angles.size > 1:
-            spacing = np.diff(angles)
-            if np.any(np.abs(spacing - self.resolution) > 1e-12):
-                raise DomainError("grid spacing must equal the resolution")
         object.__setattr__(self, "angles", angles)
 
     @classmethod
@@ -173,11 +165,7 @@ class AngularGrid:
         angles = lo + resolution * np.arange(n + 1)
         if n > 0:
             angles[-1] = hi
-        return cls(angles=angles, resolution=resolution)
-
-    @property
-    def size(self) -> int:
-        return int(self.angles.size)
+        return cls(angles=angles)
 
 
 def steering_matrix(geometry: ArrayGeometry, theta_deg) -> NDArray[np.complex128]:
@@ -195,11 +183,6 @@ def steering_matrix(geometry: ArrayGeometry, theta_deg) -> NDArray[np.complex128
         element = np.vstack([p(theta) for p in geometry.element_patterns])
         return element * phase
     return phase
-
-
-def steering_vector(geometry: ArrayGeometry, theta_deg: float) -> NDArray[np.complex128]:
-    """Steering vector at a single angle in degrees."""
-    return steering_matrix(geometry, [theta_deg])[:, 0]
 
 
 def build_total_power_matrix(
@@ -344,16 +327,9 @@ def solve_upper(
 
 
 def build_region_operator(
-    geometry: ArrayGeometry, c_factor: NDArray[np.complex128], grid: AngularGrid | None
+    geometry: ArrayGeometry, c_factor: NDArray[np.complex128], grid: AngularGrid
 ) -> NDArray[np.complex128]:
-    """Region operator with columns ``C^{-H} a(theta_l)`` for each grid angle.
-
-    An absent or empty grid yields an N x 0 matrix, which is how the
-    unconstrained-sidelobe variant disables the sidelobe block.
-    """
-    n = geometry.n_elements
-    if grid is None or grid.size == 0:
-        return np.zeros((n, 0), dtype=complex)
+    """Region operator with columns ``C^{-H} a(theta_l)`` for each grid angle."""
     steer = steering_matrix(geometry, grid.angles)
     return solve_upper(c_factor, steer, adjoint=True)
 
@@ -371,8 +347,6 @@ class GainOperators:
     C: NDArray[np.complex128]
     P: NDArray[np.complex128]
     Q: NDArray[np.complex128]
-    mainlobe: AngularGrid
-    sidelobe: tuple[AngularGrid, ...]
 
     def __post_init__(self):
         norm_a = np.linalg.norm(self.A)
@@ -385,10 +359,6 @@ class GainOperators:
                     raise NumericalError(
                         f"{name} operator has a non-finite or zero column"
                     )
-
-    @property
-    def n_elements(self) -> int:
-        return int(self.A.shape[0])
 
 
 def build_gain_operators(
@@ -413,9 +383,7 @@ def build_gain_operators(
             q = np.hstack([build_region_operator(geometry, c, seg) for seg in sidelobe])
         else:
             q = np.zeros((geometry.n_elements, 0), dtype=complex)
-        return GainOperators(
-            A=a, C=c, P=p, Q=q, mainlobe=mainlobe, sidelobe=tuple(sidelobe)
-        )
+        return GainOperators(A=a, C=c, P=p, Q=q)
 
 
 def power_gain_pattern(
@@ -490,18 +458,6 @@ def load_aep(path) -> tuple[ElementPattern, ...]:
             )
         patterns.append(ElementPattern(angles_deg=angles, values=values))
     return tuple(patterns)
-
-
-def write_aep(path, patterns: tuple[ElementPattern, ...]) -> None:
-    """Write element patterns in the CSV format read by :func:`load_aep`."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["element", "angle_deg", "re", "im"])
-        for index, pattern in enumerate(patterns):
-            for angle, value in zip(pattern.angles_deg, pattern.values):
-                writer.writerow(
-                    [index, f"{angle:.12g}", f"{value.real:.12g}", f"{value.imag:.12g}"]
-                )
 
 
 def synth_aep(

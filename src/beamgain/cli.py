@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, fields
@@ -55,16 +56,9 @@ EXIT_NONCONVERGED = 4
 
 _GEOMETRY_KEYS = {"fixture", "file", "positions", "efficiencies"}
 _AEP_KEYS = {"file", "synthetic_width_deg"}
-_PROBLEM_KEYS = {
-    "beam_center_deg",
-    "beamwidth_deg",
-    "resolution_deg",
-    "guard_deg",
-    "dsll_db",
-    "quadrature_order",
-}
+_PROBLEM_KEYS = {f.name for f in fields(SynthesisProblem)} - {"geometry", "admm"}
 _ADMM_KEYS = {f.name for f in fields(AdmmConfig)}
-_OUTPUT_KEYS = {"directory", "pattern", "weights", "history"}
+_OUTPUT_KEYS = {"directory"}
 _TOP_KEYS = {"geometry", "aep", "problem", "admm", "output"}
 
 
@@ -144,24 +138,24 @@ def _build_geometry(config: dict) -> ArrayGeometry:
 
 def _build_problem(config: dict, algorithm: str | None) -> SynthesisProblem:
     geometry = _build_geometry(config)
-    problem = dict(config["problem"])
-    admm_section = dict(config.get("admm", {}))
+    problem = config["problem"]
     try:
-        admm = AdmmConfig(**admm_section)
-        dsll = problem.get("dsll_db")
-        if algorithm == "wosc":
-            dsll = None
+        admm = AdmmConfig(**config.get("admm", {}))
+        dsll = None if algorithm == "wosc" else problem.get("dsll_db")
         if algorithm == "wsc" and dsll is None:
             raise ConfigError("--algorithm wsc requires problem.dsll_db")
+        # a grid step the section omits keeps SynthesisProblem's default
+        steps = {
+            k: float(problem[k]) for k in ("resolution_deg", "guard_deg") if k in problem
+        }
         return SynthesisProblem(
             geometry=geometry,
             beam_center_deg=float(problem["beam_center_deg"]),
             beamwidth_deg=float(problem["beamwidth_deg"]),
-            resolution_deg=float(problem.get("resolution_deg", 0.5)),
-            guard_deg=float(problem.get("guard_deg", 3.0)),
             dsll_db=None if dsll is None else float(dsll),
             admm=admm,
             quadrature_order=problem.get("quadrature_order"),
+            **steps,
         )
     except KeyError as exc:
         raise ConfigError(f"problem section missing {exc}") from exc
@@ -173,14 +167,7 @@ def _resolved_config(problem: SynthesisProblem, config: dict) -> dict:
     return {
         "geometry": config["geometry"],
         "aep": config.get("aep"),
-        "problem": {
-            "beam_center_deg": problem.beam_center_deg,
-            "beamwidth_deg": problem.beamwidth_deg,
-            "resolution_deg": problem.resolution_deg,
-            "guard_deg": problem.guard_deg,
-            "dsll_db": problem.dsll_db,
-            "quadrature_order": problem.quadrature_order,
-        },
+        "problem": {name: getattr(problem, name) for name in sorted(_PROBLEM_KEYS)},
         "admm": asdict(problem.admm),
     }
 
@@ -199,13 +186,9 @@ def _cmd_synth(args) -> int:
     start = time.perf_counter()
     result = synthesize(problem)
     wall_ms = 1e3 * (time.perf_counter() - start)
-    toggles = config.get("output", {})
-    if toggles.get("pattern", True):
-        export_pattern(result, out / "pattern.csv")
-    if toggles.get("weights", True):
-        export_weights(result, out / "weights.csv")
-    if toggles.get("history", True):
-        export_history(result.history, out / "history.csv")
+    export_pattern(result, out / "pattern.csv")
+    export_weights(result, out / "weights.csv")
+    export_history(result.history, out / "history.csv")
     payload = summary_payload(_resolved_config(problem, config), result, wall_ms)
     export_summary(payload, out / "summary.json")
     print(
@@ -218,21 +201,23 @@ def _cmd_synth(args) -> int:
 
 
 def _parse_centers(arg: str) -> list[float]:
-    parts = arg.split(":")
     try:
-        if len(parts) == 1:
-            return [float(parts[0])]
-        if len(parts) == 3:
-            start, stop, step = (float(p) for p in parts)
-            if step <= 0 or stop < start:
-                raise ConfigError("centers must satisfy start <= stop, step > 0")
-            count = int(round((stop - start) / step))
-            centers = [start + i * step for i in range(count + 1)]
-            if centers[-1] > stop + 1e-9:
-                centers.pop()
-            return centers
+        values = [float(part) for part in arg.split(":")]
     except ValueError as exc:
         raise ConfigError(f"bad --centers value: {exc}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError("--centers values must be finite")
+    if len(values) == 1:
+        return values
+    if len(values) == 3:
+        start, stop, step = values
+        if step <= 0 or stop < start:
+            raise ConfigError("centers must satisfy start <= stop, step > 0")
+        count = int(round((stop - start) / step))
+        centers = [start + i * step for i in range(count + 1)]
+        if centers[-1] > stop + 1e-9:
+            centers.pop()
+        return centers
     raise ConfigError("--centers expects 'value' or 'start:stop:step'")
 
 
@@ -350,6 +335,8 @@ def _validate_secular(rng, reports, checks) -> None:
 
 
 def _cmd_validate(args) -> int:
+    if args.checks < 1:
+        raise ConfigError("--checks must be at least 1")
     rng = np.random.default_rng(args.seed)
     reports: list[OracleReport] = []
     _validate_levels(rng, reports, args.checks)

@@ -12,6 +12,7 @@ iteration budget is exhausted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 from numpy.typing import NDArray
@@ -48,6 +49,8 @@ class AdmmConfig:
             raise DomainError("rho_init must lie in (1, 10000)")
         if not 0.0 < self.rho_decay <= 1.0:
             raise DomainError("rho_decay must lie in (0, 1]")
+        if not isinstance(self.iter_max, Integral) or isinstance(self.iter_max, bool):
+            raise DomainError("iter_max must be an integer")
         if self.iter_max < 1:
             raise DomainError("iter_max must be at least 1")
 
@@ -56,30 +59,19 @@ class AdmmConfig:
 class AdmmHistory:
     """Per-iteration trace of the run."""
 
-    iteration: list[int] = field(default_factory=list)
     g0_amp: list[float] = field(default_factory=list)
     residual_ml: list[float] = field(default_factory=list)
     residual_sl: list[float] = field(default_factory=list)
     rho: list[float] = field(default_factory=list)
-    dual_inc_1: list[float] = field(default_factory=list)
-    dual_inc_2: list[float] = field(default_factory=list)
 
-    def append(self, iteration, g0_amp, residual_ml, residual_sl, rho,
-               dual_inc_1, dual_inc_2):
-        self.iteration.append(int(iteration))
+    def append(self, g0_amp, residual_ml, residual_sl, rho):
         self.g0_amp.append(float(g0_amp))
         self.residual_ml.append(float(residual_ml))
         self.residual_sl.append(float(residual_sl))
         self.rho.append(float(rho))
-        self.dual_inc_1.append(float(dual_inc_1))
-        self.dual_inc_2.append(float(dual_inc_2))
-
-    @property
-    def g0_dbi(self) -> list[float]:
-        return [amplitude_to_dbi(g) for g in self.g0_amp]
 
     def __len__(self) -> int:
-        return len(self.iteration)
+        return len(self.g0_amp)
 
 
 @dataclass
@@ -170,13 +162,7 @@ def _run(p, q, cfg: AdmmConfig, gamma, solver: SphereSolver, callback=None) -> A
         update_duals(state, px, qx)
         state.iteration = k + 1
         state.history.append(
-            state.iteration,
-            state.g0,
-            state.residual_ml,
-            state.residual_sl,
-            state.rho,
-            state.residual_ml / state.rho,
-            state.residual_sl / state.rho if q is not None else 0.0,
+            state.g0, state.residual_ml, state.residual_sl, state.rho
         )
         if callback is not None:
             callback(state)

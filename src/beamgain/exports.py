@@ -32,14 +32,20 @@ __all__ = [
 
 
 def _atomic_write(path, text: str) -> None:
+    """Write ``text`` to a hidden temp file beside ``path``, then rename it.
+
+    The temp file is removed when the write or the rename fails.
+    """
     path = Path(path)
     try:
-        handle = tempfile.NamedTemporaryFile(
-            "w", dir=path.parent, prefix=f".{path.name}.", delete=False
-        )
-        with handle:
-            handle.write(text)
-        os.replace(handle.name, path)
+        fd, temp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            os.replace(temp, path)
+        except BaseException:
+            os.unlink(temp)
+            raise
     except OSError as exc:
         raise BeamgainError(f"cannot write {path}: {exc}") from exc
 
@@ -65,22 +71,18 @@ def export_weights(result: SynthesisResult, path) -> None:
 
 
 def export_history(history: AdmmHistory, path) -> None:
-    """Per-iteration CSV trace of the run."""
-    lines = [
-        "iter,g0_amp,g0_dbi,residual_ml,residual_sl,rho,dual_inc_1,dual_inc_2"
-    ]
+    """Per-iteration CSV trace of the run; ``iter`` counts from 1."""
+    lines = ["iter,g0_amp,g0_dbi,residual_ml,residual_sl,rho"]
     for i in range(len(history)):
         lines.append(
             ",".join(
                 (
-                    str(history.iteration[i]),
+                    str(i + 1),
                     f"{history.g0_amp[i]:.12g}",
                     f"{amplitude_to_dbi(history.g0_amp[i]):.6f}",
                     f"{history.residual_ml[i]:.12g}",
                     f"{history.residual_sl[i]:.12g}",
                     f"{history.rho[i]:.12g}",
-                    f"{history.dual_inc_1[i]:.12g}",
-                    f"{history.dual_inc_2[i]:.12g}",
                 )
             )
         )

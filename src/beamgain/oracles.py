@@ -140,7 +140,7 @@ def oracle_g0_grid_wosc(y, rho: float, g0_max=None, step=None):
     )
 
 
-def oracle_g0_grid_wsc(z1, z2, rho: float, gamma: float, g0_max=None, step=None):
+def oracle_g0_grid_wsc(z1, z2, rho: float, gamma: float):
     """Grid-scan the joint level cost; returns the minimizing (g0, cost)."""
     z1 = np.asarray(z1, dtype=complex)
     z2 = np.asarray(z2, dtype=complex)
@@ -149,10 +149,7 @@ def oracle_g0_grid_wsc(z1, z2, rho: float, gamma: float, g0_max=None, step=None)
         (np.abs(z1), np.abs(z2) / np.sqrt(gamma), [stationary_top])
     )
     return _grid_minimize(
-        lambda g: clamped_cost_wsc(g, z1, z2, rho, gamma),
-        breakpoints,
-        g0_max,
-        step,
+        lambda g: clamped_cost_wsc(g, z1, z2, rho, gamma), breakpoints, None, None
     )
 
 
@@ -199,7 +196,7 @@ def secular_cost(lambdas, beta, nu: float) -> float:
     return float(alpha @ (lambdas * alpha) - 2.0 * beta @ alpha)
 
 
-def oracle_secular_scan(lambdas, beta, step=None) -> NDArray[np.float64]:
+def oracle_secular_scan(lambdas, beta) -> NDArray[np.float64]:
     """All real roots of the secular function by sign-change scanning.
 
     Scans ``[min(lambda) - sqrt(M) max|beta| - 1, max(lambda) + sqrt(M)
@@ -215,10 +212,7 @@ def oracle_secular_scan(lambdas, beta, step=None) -> NDArray[np.float64]:
     reach = np.sqrt(lambdas.size) * float(np.max(np.abs(beta)))
     lo = float(np.min(lambdas)) - reach - 1.0
     hi = float(np.max(lambdas)) + reach + 1.0
-    if step is None:
-        step = 1e-5 * (hi - lo)
-    if step > 1e-5 * (hi - lo):
-        raise DomainError("oracle scan step too coarse for the range")
+    step = 1e-5 * (hi - lo)
     grid = np.arange(lo, hi + step, step)
     with np.errstate(divide="ignore"):
         values = np.sum(b_sq[None, :] / (grid[:, None] - lam[None, :]) ** 2, axis=1) - 1.0

@@ -9,6 +9,7 @@ the power ratio ``gamma = 10^(dSLL/10)``.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -62,6 +63,12 @@ class SynthesisProblem:
     quadrature_order: int | None = None
 
     def __post_init__(self):
+        finite = ("beam_center_deg", "beamwidth_deg", "resolution_deg", "guard_deg")
+        if self.dsll_db is not None:
+            finite += ("dsll_db",)
+        for name in finite:
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite")
         if self.resolution_deg <= 0:
             raise DomainError("resolution must be positive")
         if self.guard_deg < 0:
@@ -98,7 +105,7 @@ def _outward_grid(inner: float, limit: float, resolution: float, direction: int)
     angles = inner + direction * resolution * np.arange(steps + 1)
     if direction < 0:
         angles = angles[::-1].copy()
-    return AngularGrid(angles=angles, resolution=resolution)
+    return AngularGrid(angles=angles)
 
 
 def assemble_regions(

@@ -136,6 +136,45 @@ class TestSynthCommand:
         config = small_config(tmp_path)
         assert main(["synth", "--config", str(config), "--algorithm", "wsc"]) == 2
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "key", ["beam_center_deg", "beamwidth_deg", "resolution_deg", "guard_deg", "dsll_db"]
+    )
+    def test_non_finite_problem_number_exit_2(self, tmp_path, key, value):
+        config = small_config(tmp_path, dsll=-15.0)
+        raw = json.loads(config.read_text())
+        raw["problem"][key] = value
+        config.write_text(json.dumps(raw))
+        assert main(["synth", "--config", str(config)]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("iter_max", [30.0, True, "30"])
+    def test_non_integer_iter_max_exit_2(self, tmp_path, iter_max):
+        config = small_config(tmp_path, iter_max=iter_max)
+        assert main(["synth", "--config", str(config)]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_history_and_problem_formats(self, tmp_path):
+        config = small_config(tmp_path, dsll=-15.0, iter_max=40)
+        assert main(["synth", "--config", str(config)]) in (0, 4)
+        out = tmp_path / "out"
+        history = (out / "history.csv").read_text().splitlines()
+        assert history[0] == "iter,g0_amp,g0_dbi,residual_ml,residual_sl,rho"
+        summary = json.loads((out / "summary.json").read_text())
+        iterations = summary["metrics"]["iterations"]
+        assert [row.split(",")[0] for row in history[1:]] == [
+            str(i) for i in range(1, iterations + 1)
+        ]
+        problem_fields = {f.name for f in fields(SynthesisProblem)}
+        assert set(summary["config"]["problem"]) == problem_fields - {"geometry", "admm"}
+
+    def test_failed_export_leaves_no_temp_file(self, tmp_path):
+        config = small_config(tmp_path)
+        out = tmp_path / "out"
+        (out / "pattern.csv").mkdir(parents=True)
+        assert main(["synth", "--config", str(config)]) == 2
+        assert [p.name for p in out.iterdir()] == ["pattern.csv"]
+
 
 class TestSweepCommand:
     def test_two_centers(self, tmp_path):
@@ -150,6 +189,12 @@ class TestSweepCommand:
         config = small_config(tmp_path)
         assert main(["sweep", "--config", str(config), "--centers", "5:1:1"]) == 2
 
+    @pytest.mark.parametrize("centers", ["nan", "inf", "0:inf:5", "nan:10:5", "0:10:nan"])
+    def test_non_finite_centers_exit_2(self, tmp_path, centers):
+        config = small_config(tmp_path)
+        assert main(["sweep", "--config", str(config), "--centers", centers]) == 2
+        assert not (tmp_path / "out").exists()
+
 
 class TestValidateCommand:
     def test_quick_run(self, tmp_path):
@@ -160,6 +205,11 @@ class TestValidateCommand:
         assert len(lines) == 10 * 3 + 2
         record = json.loads(lines[0])
         assert record["gap"] <= 1e-6
+
+    @pytest.mark.parametrize("checks", ["0", "-3"])
+    def test_checks_below_one_exit_2(self, tmp_path, checks):
+        assert main(["validate", "--checks", checks, "--out", str(tmp_path / "v")]) == 2
+        assert not (tmp_path / "v").exists()
 
     def test_reports_replay(self, tmp_path):
         assert main(["validate", "--checks", "8", "--seed", "5", "--out", str(tmp_path)]) == 0

@@ -33,9 +33,9 @@ def ula(n, spacing=0.5):
 class TestAssembleRegions:
     def test_reference_counts(self):
         ml, sl = assemble_regions(0.0, 20.0, 3.0, 0.5)
-        assert ml.size == 41
+        assert ml.angles.size == 41
         assert len(sl) == 2
-        assert sum(seg.size for seg in sl) == 310
+        assert sum(seg.angles.size for seg in sl) == 310
         left, right = sl
         assert left.angles[0] == -90.0 and left.angles[-1] == -13.0
         assert right.angles[0] == 13.0 and right.angles[-1] == 90.0

@@ -200,7 +200,7 @@ def build_total_power_matrix(
         diff = geometry.positions[:, None] - geometry.positions[None, :]
         a = (2.0 * np.sinc(2.0 * diff)).astype(complex)
     else:
-        order = 4 * n + 64 if quadrature_order is None else int(quadrature_order)
+        order = 4 * n + 64 if quadrature_order is None else quadrature_order
         if order < 2 * n + 32:
             raise DomainError(f"quadrature order {order} below minimum {2 * n + 32}")
         nodes, weights = np.polynomial.legendre.leggauss(order)
@@ -371,9 +371,10 @@ def build_gain_operators(
 
     The factor, the region operators and the factor check run on one
     OpenBLAS thread (:func:`beamgain.sphere.one_blas_thread`), which gives
-    the bits of the threaded calls and leaves no BLAS thread spinning after
-    them.  ``A`` keeps the caller's thread count: for tabulated element
-    patterns its quadrature product rounds differently on one thread.
+    the bits of the threaded calls.  ``A`` keeps the caller's thread count:
+    for tabulated element patterns its quadrature product rounds differently
+    on one thread.  The block stops the BLAS helper threads that product
+    woke, so none is left spinning.
     """
     a = build_total_power_matrix(geometry, quadrature_order)
     with one_blas_thread():

@@ -108,11 +108,11 @@ def update_duals(
     """
     r1 = px - state.g
     state.u1 = state.u1 + r1 / state.rho
-    state.residual_ml = float(np.max(np.abs(r1)))
+    state.residual_ml = float(np.abs(r1).max())
     if qx is not None and qx.size:
         r2 = qx - state.h
         state.u2 = state.u2 + r2 / state.rho
-        state.residual_sl = float(np.max(np.abs(r2)))
+        state.residual_sl = float(np.abs(r2).max())
     else:
         state.residual_sl = 0.0
     return state

@@ -88,8 +88,22 @@ def clamped_cost_wsc(g0, z1, z2, rho: float, gamma: float):
     )
 
 
+# Points per round of the bracket search that refines the grid minimum.
+_REFINE_POINTS = 64
+
+
 def _grid_minimize(cost_fn, breakpoints, g0_max, step):
-    """Dense scan plus one ternary-search pass around the grid minimum."""
+    """Dense scan, then a bracket search around the grid minimum.
+
+    The costs are convex in g0, so the minimizer lies between the grid
+    neighbours of the grid minimum.  Each round evaluates that bracket at
+    :data:`_REFINE_POINTS` interior points in one call and shrinks it to the
+    neighbours of the points that share the least value, until it is
+    narrower than ``1e-13 (1 + hi)`` or stops shrinking.  Near the minimum
+    the computed cost is flat up to rounding, and keeping every tied point
+    keeps the search from drifting to one end of that flat stretch.  The
+    least cost seen is returned.
+    """
     breakpoints = np.asarray(breakpoints, dtype=float)
     top = float(np.max(breakpoints)) if breakpoints.size else 1.0
     if g0_max is None:
@@ -111,22 +125,27 @@ def _grid_minimize(cost_fn, breakpoints, g0_max, step):
         grid = np.unique(np.concatenate((grid, inside, midpoints)))
     costs = cost_fn(grid)
     best = int(np.argmin(costs))
+    g0, cost = float(grid[best]), float(costs[best])
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, grid.size - 1)]
-    for _ in range(200):
-        third = (hi - lo) / 3.0
-        m1, m2 = lo + third, hi - third
-        if cost_fn(np.asarray([m1]))[0] < cost_fn(np.asarray([m2]))[0]:
-            hi = m2
-        else:
-            lo = m1
+    # a round without ties shrinks the bracket about 32-fold
+    for _ in range(20):
         if hi - lo < 1e-13 * (1.0 + hi):
             break
-    refined = 0.5 * (lo + hi)
-    refined_cost = float(cost_fn(np.asarray([refined]))[0])
-    if refined_cost <= costs[best]:
-        return float(refined), refined_cost
-    return float(grid[best]), float(costs[best])
+        points = np.linspace(lo, hi, _REFINE_POINTS + 2)[1:-1]
+        values = cost_fn(points)
+        ties = np.flatnonzero(values == values.min())
+        first, last = int(ties[0]), int(ties[-1])
+        if values[first] <= cost:
+            g0, cost = float(points[first]), float(values[first])
+        bracket = (
+            points[first - 1] if first > 0 else lo,
+            points[last + 1] if last < points.size - 1 else hi,
+        )
+        if bracket == (lo, hi):
+            break
+        lo, hi = bracket
+    return g0, cost
 
 
 def oracle_g0_grid_wosc(y, rho: float, g0_max=None, step=None):

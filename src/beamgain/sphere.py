@@ -24,7 +24,7 @@ from __future__ import annotations
 import sys
 import threading
 from contextlib import contextmanager
-from math import isfinite
+from math import isfinite, sqrt
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -45,6 +45,8 @@ _WIDTH_FACTOR = 1e-14
 _SECULAR_STEPS = 300
 # A secular root is certified once |f(nu)| falls to this.
 _SECULAR_TOL = 1e-12
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 # OpenBLAS runs a complex GEMV on its thread pool once m * n reaches this.
 _GEMV_THREADING_SIZE = 4096
 # Rows per block of a NoTrans product; a multiple of the kernel's 4-row groups.
@@ -60,19 +62,24 @@ _OPENBLAS_MODULES = {
 # on the next use
 _openblas = None
 # The one_blas_thread blocks open in this process, over all its threads, and
-# the (set_num_threads, count) pairs the first of them saved.
+# the (build, count) pairs the first of them saved.
 _one_thread_lock = threading.Lock()
 _one_thread_blocks = 0
 _saved_counts: list = []
 
 
 class _Build(NamedTuple):
-    """One OpenBLAS build: its thread-count calls, config string and library."""
+    """One OpenBLAS build: its thread calls, config string and library.
+
+    ``stop`` ends the build's helper threads (None where the build does not
+    export it); the next threaded call starts them again.
+    """
 
     get: Callable[[], int]
     put: Callable[[int], None]
     config: str
     lib: object
+    stop: Callable[[], object] | None
 
 
 def _bind_build(module, suffix: str) -> _Build | None:
@@ -89,7 +96,11 @@ def _bind_build(module, suffix: str) -> _Build | None:
     get.argtypes, get.restype = [], ctypes.c_int
     put.argtypes, put.restype = [ctypes.c_int], None
     config.argtypes, config.restype = [], ctypes.c_char_p
-    return _Build(get, put, config().decode(), lib)
+    # unsuffixed in every build; the handle finds the one its module links
+    stop = getattr(lib, "blas_thread_shutdown_", None)
+    if stop is not None:
+        stop.argtypes, stop.restype = [], ctypes.c_int
+    return _Build(get, put, config().decode(), lib, stop)
 
 
 def _openblas_builds() -> dict[str, _Build]:
@@ -132,14 +143,21 @@ def one_blas_thread():
     the block run on one thread as well.  Blocks may nest or overlap across
     threads: the first to open saves the counts, the last to close restores
     them.
+
+    Each time the counts are set, the build's helper threads are stopped
+    right after: setting a count restarts a stopped pool, and a threaded
+    call before the block may have woken a helper; either would otherwise
+    spin beside the caller's work.  The next threaded call starts the pool
+    again at the restored count.  The helpers are stopped only while this is
+    the process's one Python thread: stopping the pool under another
+    thread's threaded BLAS call would free the buffers that call uses.
     """
     global _one_thread_blocks, _saved_counts
     with _one_thread_lock:
         if _one_thread_blocks == 0:
             builds = _openblas_builds().values()
-            _saved_counts = [(build.put, build.get()) for build in builds]
-            for put, _ in _saved_counts:
-                put(1)
+            _saved_counts = [(build, build.get()) for build in builds]
+            _set_counts((build, 1) for build, _ in _saved_counts)
         _one_thread_blocks += 1
     try:
         yield
@@ -147,8 +165,20 @@ def one_blas_thread():
         with _one_thread_lock:
             _one_thread_blocks -= 1
             if _one_thread_blocks == 0:
-                for put, count in _saved_counts:
-                    put(count)
+                _set_counts(_saved_counts)
+
+
+def _set_counts(counts) -> None:
+    """Set each build's thread count, and stop its helpers if that is safe.
+
+    Each build's helpers are stopped before the next build's count is set,
+    so that no restarted helper spins while another build's pool restarts.
+    """
+    stop = threading.active_count() == 1
+    for build, count in counts:
+        build.put(count)
+        if stop and build.stop is not None:
+            build.stop()
 
 
 def _realify_operator(op: NDArray[np.complex128]) -> NDArray[np.float64]:
@@ -199,13 +229,13 @@ def secular_bisect(lambdas, beta) -> float:
         np.subtract(nu, lam, out=diff)
         np.square(diff, out=terms)
         np.divide(beta_sq, terms, out=terms)
-        return float(terms.sum()) - 1.0
+        return float(np.add.reduce(terms)) - 1.0
 
     edge = lam - sqrt_m * ab
     lower = float(edge.min())
     upper = float(min((lam - ab).min(), edge.max()))
     scale = 1.0 + abs(lower) + abs(upper)
-    nudge = 1e3 * np.finfo(float).eps * scale
+    nudge = 1e3 * _EPS * scale
     f_lower = secular_f(lower)
     if not isfinite(f_lower):
         lower -= nudge
@@ -242,7 +272,7 @@ def secular_bisect(lambdas, beta) -> float:
             # diff still holds nu - lam from the evaluation of f(nu)
             np.power(diff, 3, out=terms)
             np.divide(beta_sq, terms, out=terms)
-            slope = -2.0 * float(terms.sum())
+            slope = -2.0 * float(np.add.reduce(terms))
             if slope > 0:
                 newton = nu - f_nu / slope
                 if lo < newton < hi:
@@ -282,17 +312,18 @@ def _unit_coefficients(
     lam = lambdas[mask]
     b = beta[mask]
     if not (mask & bottom).any():
-        gaps = lam - float(lambdas[0])
-        residual_sum = float(np.sum((b / gaps) ** 2))
+        ratio = b / (lam - float(lambdas[0]))
+        residual_sum = float(np.add.reduce(ratio**2))
         if residual_sum < 1.0:
-            alpha[mask] = b / gaps
+            alpha[mask] = ratio
             alpha[0] += np.sqrt(1.0 - residual_sum)
             return alpha
     nu = secular_bisect(lam, b)
     denom = lam - nu
-    denom = np.where(denom > 0, denom, np.finfo(float).tiny)
+    denom = np.where(denom > 0, denom, _TINY)
     alpha[mask] = b / denom
-    return alpha / np.linalg.norm(alpha)
+    # np.linalg.norm's own arithmetic for a real vector
+    return alpha / sqrt(alpha.dot(alpha))
 
 
 def _row_cuts(a: NDArray[np.complex128]) -> list[int]:
@@ -363,10 +394,11 @@ class SphereSolver:
     its eigensystem is computed once, at construction, and every solve
     reuses it; the operators are checked there too, never per solve.
     ``P P^H``, the sum and ``eigh`` run on one OpenBLAS thread
-    (:func:`one_blas_thread`), which gives the bits of the threaded calls and
-    leaves no BLAS thread spinning beside the loop; ``Q Q^H`` keeps the
-    caller's thread count, because its bits depend on it.  A solver with a
-    sidelobe block does not pickle (see :class:`RowBlockedProduct`).
+    (:func:`one_blas_thread`), which gives the bits of the threaded calls;
+    ``Q Q^H`` runs just before, at the caller's thread count, because its
+    bits depend on it, and the block stops the BLAS helper threads it woke,
+    so none spins beside the loop.  A solver with a sidelobe block
+    does not pickle (see :class:`RowBlockedProduct`).
     """
 
     def __init__(
@@ -394,12 +426,12 @@ class SphereSolver:
 
     def solve(self, d1, d2=None) -> NDArray[np.complex128]:
         """Unit-norm complex minimizer for the targets ``d1`` (and ``d2``)."""
-        b = self._p @ np.asarray(d1, dtype=complex)
+        b = self._p @ d1
         if self._q_product is not None:
-            b = b + self._q_product(np.asarray(d2, dtype=complex))
+            b = b + self._q_product(d2)
         beta = self._u.T @ np.concatenate((b.real, b.imag))
         alpha = _unit_coefficients(self._lambdas, self._bottom, beta)
         x = self._u @ alpha
-        x = x / np.linalg.norm(x)
+        x = x / sqrt(x.dot(x))
         n = x.size // 2
         return x[:n] + 1j * x[n:]

@@ -27,9 +27,31 @@ def _checked_complex(name: str, values) -> NDArray[np.complex128]:
     arr = np.asarray(values, dtype=complex)
     if arr.ndim != 1:
         raise DomainError(f"{name} must be a 1-D vector")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError(f"{name} contains non-finite entries")
     return arr
+
+
+def _prefix_sums(values) -> NDArray:
+    """``[0, values[0], values[0] + values[1], ...]``: cumulative sums after a zero."""
+    out = np.zeros(len(values) + 1, dtype=np.result_type(values, 0))
+    np.cumsum(values, out=out[1:])
+    return out
+
+
+def _clip(values, lower, upper) -> None:
+    """``np.clip`` in place, with its arithmetic but without its Python wrapper."""
+    np.maximum(values, lower, out=values)
+    np.minimum(values, upper, out=values)
+
+
+def _breakpoint_bounds(thresholds) -> tuple[NDArray, NDArray]:
+    """Lower and upper ends of the subdomains the sorted ``thresholds`` split."""
+    ends = np.empty(thresholds.size + 2)
+    ends[0] = 0.0
+    ends[1:-1] = thresholds
+    ends[-1] = np.inf
+    return ends[:-1], ends[1:]
 
 
 def update_g_wosc(
@@ -48,21 +70,21 @@ def update_g_wosc(
         raise DomainError("y must have at least one entry")
     if not rho > 0:
         raise DomainError("rho must be positive")
-    moduli = np.sort(np.abs(y))
+    abs_y = np.abs(y)
+    moduli = np.sort(abs_y)
     count = np.arange(moduli.size + 1)
-    clamped_sum = np.concatenate(([0.0], np.cumsum(moduli)))
-    clamped_sumsq = np.concatenate(([0.0], np.cumsum(moduli * moduli)))
-    lower = np.concatenate(([0.0], moduli))
-    upper = np.concatenate((moduli, [np.inf]))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        stationary = (rho + clamped_sum) / count
-    candidates = np.clip(stationary, lower, upper)
-    candidates[0] = upper[0]
+    clamped_sum = _prefix_sums(moduli)
+    clamped_sumsq = _prefix_sums(moduli * moduli)
+    lower, upper = _breakpoint_bounds(moduli)
+    # the empty clamp set (count 0) takes the first breakpoint
+    candidates = upper.copy()
+    np.divide(rho + clamped_sum, count, out=candidates, where=count > 0)
+    _clip(candidates, lower, upper)
     cost = -candidates + (
         count * candidates**2 - 2.0 * candidates * clamped_sum + clamped_sumsq
     ) / (2.0 * rho)
     g0 = float(candidates[np.argmin(cost)])
-    g = np.maximum(np.abs(y), g0) * np.exp(1j * np.angle(y))
+    g = np.maximum(abs_y, g0) * np.exp(1j * np.angle(y))
     return g0, g
 
 
@@ -98,38 +120,33 @@ def update_gh_wsc(
     abs1 = np.abs(z1)
     abs2 = np.abs(z2)
     thresholds = np.concatenate((abs1, abs2 / sqrt_gamma))
-    is_sidelobe = np.concatenate(
-        (np.zeros(abs1.size, dtype=bool), np.ones(abs2.size, dtype=bool))
-    )
-    moduli = np.concatenate((abs1, abs2))
     order = np.argsort(thresholds, kind="stable")
     thresholds = thresholds[order]
-    is_sidelobe = is_sidelobe[order]
-    moduli = moduli[order]
+    # the sidelobe entries follow the mainlobe ones before sorting
+    is_sidelobe = order >= abs1.size
+    moduli = np.concatenate((abs1, abs2))[order]
 
     ml_moduli = np.where(is_sidelobe, 0.0, moduli)
-    k1 = np.concatenate(([0], np.cumsum(~is_sidelobe)))
-    s1 = np.concatenate(([0.0], np.cumsum(ml_moduli)))
-    q1 = np.concatenate(([0.0], np.cumsum(ml_moduli * ml_moduli)))
+    k1 = _prefix_sums(~is_sidelobe)
+    s1 = _prefix_sums(ml_moduli)
+    q1 = _prefix_sums(ml_moduli * ml_moduli)
 
     sl_moduli = np.where(is_sidelobe, moduli, 0.0)
-    sl_prefix = np.concatenate(([0], np.cumsum(is_sidelobe)))
+    sl_squares = sl_moduli * sl_moduli
+    sl_prefix = _prefix_sums(is_sidelobe)
     k2 = sl_prefix[-1] - sl_prefix
-    s2 = np.sum(sl_moduli) - np.concatenate(([0.0], np.cumsum(sl_moduli)))
-    q2 = np.sum(sl_moduli * sl_moduli) - np.concatenate(
-        ([0.0], np.cumsum(sl_moduli * sl_moduli))
-    )
+    s2 = np.add.reduce(sl_moduli) - _prefix_sums(sl_moduli)
+    q2 = np.add.reduce(sl_squares) - _prefix_sums(sl_squares)
 
-    lower = np.concatenate(([0.0], thresholds))
-    upper = np.concatenate((thresholds, [np.inf]))
+    lower, upper = _breakpoint_bounds(thresholds)
     # rho is not cancelled: the ADMM loop amplifies rounding, so cancelling
     # it would change every constrained answer
     numerator = rho * rho + rho * s1 + rho * sqrt_gamma * s2
     denominator = rho * k1 + rho * gamma * k2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        stationary = numerator / denominator
-    candidates = np.where(denominator > 0, stationary, upper)
-    candidates = np.clip(candidates, lower, upper)
+    # a subdomain with nothing clamped takes its upper end
+    candidates = upper.copy()
+    np.divide(numerator, denominator, out=candidates, where=denominator > 0)
+    _clip(candidates, lower, upper)
     cost = (
         -candidates
         + (k1 * candidates**2 - 2.0 * candidates * s1 + q1) / (2.0 * rho)

@@ -13,6 +13,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 
 import numpy as np
 from numpy.typing import NDArray
@@ -75,6 +76,9 @@ class SynthesisProblem:
             raise DomainError("guard must be nonnegative")
         if self.beamwidth_deg <= 0:
             raise DomainError("beamwidth must be positive")
+        order = self.quadrature_order
+        if order is not None and (not isinstance(order, Integral) or isinstance(order, bool)):
+            raise DomainError("quadrature_order must be an integer")
 
 
 @dataclass(frozen=True)
@@ -266,12 +270,14 @@ def synthesize(problem: SynthesisProblem) -> SynthesisResult:
     LAPACK calls.  They run on one OpenBLAS thread, except the two whose
     bits depend on the thread count and which keep the caller's: the
     sidelobe Gram ``Q Q^H`` and, for tabulated element patterns, the
-    quadrature product of the total-power matrix.  The loop's sidelobe
-    products and the pattern products run in row blocks below OpenBLAS's
-    threading size.  So an unconstrained run on isotropic elements wakes no
-    BLAS thread.  Non-convergence within the iteration budget
-    is reported through the ``converged`` flag, not an error, so sweeps can
-    proceed.
+    quadrature product of the total-power matrix; each is followed by a
+    one-thread block, which stops the BLAS helper threads it woke (in a
+    process running one Python thread).  The loop's sidelobe products and
+    the pattern products run in row blocks below OpenBLAS's threading size.
+    So no helper spins beside the loop, and an unconstrained run on
+    isotropic elements leaves none running.  Non-convergence within the
+    iteration budget is reported through the ``converged`` flag, not an
+    error, so sweeps can proceed.
     """
     setup = _set_up(problem)
     return _finish(setup, _iterate(setup))
@@ -329,8 +335,9 @@ def _sweep_chunk(problem: SynthesisProblem, centers: list[float], lock) -> list[
     count run threaded (``Q Q^H``, and the quadrature product of the
     total-power matrix for tabulated element patterns; see
     :func:`synthesize`).  Holding ``lock`` through the set-ups keeps the
-    other workers' set-ups from running at the same time, and the loops and
-    finishes that follow wake no BLAS thread.  A center whose
+    other workers' set-ups from running at the same time; each set-up ends
+    with its helper threads stopped, and the loops and finishes that follow
+    wake none.  A center whose
     set-up, loop or finish raises a model error becomes an error row.
     ``wall_ms`` is the center's own set-up, loop and finish time, without
     the wait for the lock.
@@ -387,8 +394,9 @@ def scan_sweep(problem: SynthesisProblem, centers) -> list[SweepRow]:
     set-up calls run on one OpenBLAS thread; the lock serializes the two
     that keep the default count, each set-up's ``Q Q^H`` and, for
     tabulated element patterns, the quadrature product of the total-power
-    matrix.  So one worker at a time makes threaded BLAS calls, and the
-    loops and finishes wake no BLAS thread.  A row's
+    matrix.  So one worker at a time makes threaded BLAS calls, each
+    set-up stops the helper threads they woke, and the loops and finishes
+    wake none.  A row's
     ``wall_ms`` is its center's set-up, loop and finish time, not the wait
     for the lock.
 

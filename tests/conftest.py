@@ -1,3 +1,6 @@
+import resource
+import time
+
 import numpy as np
 import pytest
 
@@ -54,3 +57,25 @@ def sphere_cost(ops, targets, x):
 @pytest.fixture
 def small_geometry(rng):
     return random_geometry(rng, 6)
+
+
+def helper_cpu_ms(work) -> tuple[float, float]:
+    """CPU time in ms of threads other than the caller: during ``work``, and after.
+
+    Measured as the process's CPU time less the caller's, so that threads
+    which have exited by the end are counted too (``/proc/self/task`` no
+    longer lists them).  The second value covers 0.3 s after ``work``
+    returns, in which a BLAS helper left spinning by ``work`` shows up.  A
+    quiet 0.6 s first lets a helper woken earlier stop spinning.
+    """
+    def others():
+        process = resource.getrusage(resource.RUSAGE_SELF)
+        caller = resource.getrusage(resource.RUSAGE_THREAD)
+        return (process.ru_utime + process.ru_stime) - (caller.ru_utime + caller.ru_stime)
+
+    time.sleep(0.6)
+    start = others()
+    work()
+    end = others()
+    time.sleep(0.3)
+    return 1e3 * (end - start), 1e3 * (others() - end)

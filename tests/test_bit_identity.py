@@ -12,6 +12,12 @@ two full acceptance rows must agree bit for bit.  The reference carries
 separate mainlobe and sidelobe penalties ``rho1`` and ``rho2``; both start
 at ``rho_init`` and decay together, so each must equal the single
 production ``rho``.
+
+Every solve of those two rows goes through the secular root, so the sphere
+solver and the level updates are also compared call by call on seeded
+inputs that reach the other branches: targets in the hard case (no
+component on the bottom eigenspace and a norm deficit), zero targets, tied
+moduli and the all-zero input of the first iteration.
 """
 
 from dataclasses import dataclass, field, fields, replace
@@ -33,6 +39,8 @@ from beamgain import (
     run_wsc,
     ula41,
 )
+from beamgain import sphere as production_sphere
+from beamgain import subproblems as production_levels
 from beamgain.engine import AdmmHistory, amplitude_to_dbi
 
 # ---------------------------------------------------------------------------
@@ -574,3 +582,84 @@ def test_run_matches_reference_bit_for_bit(row):
     _assert_fields_equal(
         new.history, ref.history, [f.name for f in fields(AdmmHistory)]
     )
+
+
+# ---------------------------------------------------------------------------
+# Call-by-call comparison on the branches the rows above never take.
+# ---------------------------------------------------------------------------
+
+
+def _complex(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _sphere_case(rng, blocks, kind):
+    """Operators and targets of a small sphere problem of the given kind.
+
+    ``hard`` targets give ``P d1 (+ Q d2)`` no component on the bottom
+    eigenvector of the Gram and a secular sum below one at its eigenvalue;
+    ``zero`` targets are all zero; ``generic`` ones are random.
+    """
+    n = 4
+    ops = [_complex(rng, n, 6)] + ([_complex(rng, n, 5)] if blocks == 2 else [])
+    targets = [np.zeros(op.shape[1], dtype=complex) for op in ops]
+    if kind == "generic":
+        targets = [10.0 ** rng.uniform(-1, 1) * _complex(rng, op.shape[1]) for op in ops]
+    elif kind == "hard":
+        gram = sum(op @ op.conj().T for op in ops)
+        lam, vec = np.linalg.eigh(gram)
+        coef = _complex(rng, n - 1)
+        scale = 0.5 / np.sqrt(np.sum(np.abs(coef / (lam[1:] - lam[0])) ** 2))
+        # P d1 = b exactly up to rounding: P has full row rank
+        targets[0] = np.linalg.pinv(ops[0]) @ (scale * vec[:, 1:] @ coef)
+    return ops, targets
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+@pytest.mark.parametrize("kind", ["hard", "zero", "generic"])
+def test_sphere_solve_matches_reference_bit_for_bit(monkeypatch, blocks, kind):
+    rng = np.random.default_rng(2400 + 10 * blocks + len(kind))
+    secular_calls = []
+    root = production_sphere.secular_bisect
+    monkeypatch.setattr(
+        production_sphere, "secular_bisect",
+        lambda *args: secular_calls.append(1) or root(*args),
+    )
+    for _ in range(20):
+        ops, targets = _sphere_case(rng, blocks, kind)
+        new = production_sphere.SphereSolver(*ops).solve(*targets)
+        ref = SphereSolver(*ops).solve(*targets, weight_ml=1e-3, weight_sl=1e-3)
+        assert np.array_equal(new, ref)
+    # the cases reach the branch they are named for
+    assert len(secular_calls) == (20 if kind == "generic" else 0)
+
+
+def _level_inputs(rng, kind):
+    """Mainlobe and sidelobe inputs, a penalty and a sidelobe ratio."""
+    rho = 10.0 ** rng.uniform(-1, 3)
+    if kind == "zero":
+        # the first iteration: zero weights and duals
+        return np.zeros(41, dtype=complex), np.zeros(310, dtype=complex), rho, 10.0 ** -3.5
+    z1 = _complex(rng, int(rng.integers(1, 13))) * 10.0 ** rng.uniform(-2, 2)
+    z2 = _complex(rng, int(rng.integers(1, 13))) * 10.0 ** rng.uniform(-2, 2)
+    if kind == "random":
+        return z1, z2, rho, 10.0 ** rng.uniform(-4, 0)
+    # tied moduli: repeated entries, equal moduli at other phases, and
+    # sidelobe thresholds |z2| / sqrt(gamma) equal to mainlobe moduli
+    z1 = np.concatenate((z1, z1[:2], -z1[:1], 1j * z1[-1:]))
+    z2 = np.concatenate((z2, z2[:1], 0.5 * z1[:3], -0.5 * z1[-1:]))
+    return z1, z2, rho, 0.25
+
+
+@pytest.mark.parametrize("kind", ["zero", "tied", "random"])
+def test_level_updates_match_reference_bit_for_bit(kind):
+    rng = np.random.default_rng(2450 + len(kind))
+    for _ in range(50):
+        z1, z2, rho, gamma = _level_inputs(rng, kind)
+        new = production_levels.update_g_wosc(z1, rho)
+        ref = update_g_wosc(z1, rho)
+        assert all(np.array_equal(a, b) for a, b in zip(new, ref))
+        for sidelobe in (z2, z2[:0]):
+            new = production_levels.update_gh_wsc(z1, sidelobe, rho, gamma)
+            ref = update_gh_wsc(z1, sidelobe, rho, gamma)
+            assert all(np.array_equal(a, b) for a, b in zip(new, ref))

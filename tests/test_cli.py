@@ -154,6 +154,16 @@ class TestSynthCommand:
         assert main(["synth", "--config", str(config)]) == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("order", [float("nan"), 300.7, True, "300"])
+    def test_non_integer_quadrature_order_exit_2(self, tmp_path, order):
+        config = json.loads(small_config(tmp_path).read_text())
+        config["aep"] = {"synthetic_width_deg": 45.0}
+        config["problem"]["quadrature_order"] = order
+        path = tmp_path / "aep.json"
+        path.write_text(json.dumps(config))
+        assert main(["synth", "--config", str(path)]) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_history_and_problem_formats(self, tmp_path):
         config = small_config(tmp_path, dsll=-15.0, iter_max=40)
         assert main(["synth", "--config", str(config)]) in (0, 4)

@@ -1,6 +1,7 @@
 import json
 import os
 import pickle
+import resource
 import subprocess
 import sys
 import threading
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_sphere_problem, sphere_cost
+from conftest import helper_cpu_ms, random_sphere_problem, sphere_cost
 
 from beamgain import (
     DomainError,
@@ -363,6 +364,53 @@ class TestOneBlasThread:
         assert out["builds_after_scipy"] == ["numpy", "scipy"]
         assert out["inside_block"] == {"numpy": 1, "scipy": 1}
         assert out["after_block"] == {"numpy": 2, "scipy": 2}
+
+    @pytest.mark.skipif(
+        not hasattr(resource, "RUSAGE_THREAD"),
+        reason="reads the caller's CPU time with Linux's RUSAGE_THREAD",
+    )
+    def test_last_exit_stops_the_helpers(self, two_blas_threads):
+        assert threading.active_count() == 1, "helpers stop only in a one-thread process"
+        assert all(build.stop for build in sphere._openblas_builds().values())
+        mainlobe, sidelobe = assemble_regions(0.0, 20.0, 3.0, 0.5)
+        q = build_gain_operators(nonuniform41(), mainlobe, sidelobe).Q
+        gram = q @ q.conj().T
+
+        def product_then_block():
+            q @ q.conj().T
+            with one_blas_thread():
+                pass
+
+        assert helper_cpu_ms(product_then_block)[1] < 5.0
+        # the counts stay, and a threaded product after the stop has its bits
+        assert blas_threads() == dict.fromkeys(two_blas_threads, 2)
+        assert (q @ q.conj().T).tobytes() == gram.tobytes()
+
+    def test_helpers_stopped_unless_another_thread_runs(self, monkeypatch):
+        calls = []
+        stand_in = sphere._Build(
+            get=lambda: 2, put=lambda n: calls.append(("put", n)),
+            config="OpenBLAS stand-in", lib=None, stop=lambda: calls.append("stop"),
+        )
+        monkeypatch.setattr(sphere, "_OPENBLAS_MODULES", {})
+        # a build without the stop symbol is skipped
+        without_stop = stand_in._replace(stop=None)
+        monkeypatch.setattr(sphere, "_openblas", {"numpy": stand_in, "scipy": without_stop})
+        with one_blas_thread():
+            pass
+        # each stop follows the counts it goes with
+        assert calls == [("put", 1), "stop", ("put", 1), ("put", 2), "stop", ("put", 2)]
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            calls.clear()
+            with one_blas_thread():
+                pass
+        finally:
+            release.set()
+            other.join()
+        assert calls == [("put", 1), ("put", 1), ("put", 2), ("put", 2)]
 
     @pytest.mark.parametrize(
         "module", ["numpy.fft._pocketfft_umath", "beamgain._no_such_module"]

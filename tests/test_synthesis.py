@@ -1,3 +1,4 @@
+import resource
 import threading
 import time
 from dataclasses import replace
@@ -22,7 +23,7 @@ from beamgain import (
 )
 from beamgain import synthesis
 from beamgain.sphere import blas_threads
-from conftest import random_geometry
+from conftest import helper_cpu_ms, random_geometry
 
 
 def ula(n, spacing=0.5):
@@ -352,3 +353,22 @@ class TestBlasThreads:
         mainlobe, sidelobe = assemble_regions(0.0, 20.0, 3.0, 0.5)
         q = build_gain_operators(nonuniform41(), mainlobe, sidelobe).Q
         assert _other_thread_ticks(lambda: q @ q.conj().T) > 0
+
+    @pytest.mark.skipif(
+        not hasattr(resource, "RUSAGE_THREAD"),
+        reason="reads the caller's CPU time with Linux's RUSAGE_THREAD",
+    )
+    def test_constrained_run_leaves_no_helper_spinning(self):
+        if blas_threads().get("numpy", 1) < 2:
+            pytest.skip("needs an OpenBLAS build with at least two threads")
+        assert threading.active_count() == 1, "helpers stop only in a one-thread process"
+        problem = SynthesisProblem(
+            geometry=nonuniform41(), beam_center_deg=0.0, beamwidth_deg=20.0,
+            dsll_db=-25.0, admm=AdmmConfig(rho_init=2000.0, iter_max=20),
+        )
+        # Q Q^H wakes the helper; the set-up stops it once the counts are back
+        assert helper_cpu_ms(lambda: synthesize(problem))[1] < 5.0
+        # positive control: the bare product leaves it spinning
+        mainlobe, sidelobe = assemble_regions(0.0, 20.0, 3.0, 0.5)
+        q = build_gain_operators(nonuniform41(), mainlobe, sidelobe).Q
+        assert helper_cpu_ms(lambda: q @ q.conj().T)[1] > 20.0

@@ -88,22 +88,60 @@ def clamped_cost_wsc(g0, z1, z2, rho: float, gamma: float):
     )
 
 
-# Points per round of the bracket search that refines the grid minimum.
-_REFINE_POINTS = 64
+# Ternary-search rounds whose probe points one cost call evaluates.
+_ROUNDS_PER_CALL = 6
+
+
+def _ternary_probes(lo, hi, rounds):
+    """Probe points of every bracket ternary search can reach from [lo, hi].
+
+    Level r holds the 2^r brackets reachable after r rounds, each given by
+    its two thirds ``(m1, m2)``; bracket i's children are 2i (``hi = m2``,
+    taken when ``m1`` costs less) and 2i + 1 (``lo = m1``).  The arithmetic
+    is the search's own, so each point has the bits the search computes.
+    """
+    los, his = np.asarray([lo]), np.asarray([hi])
+    levels = []
+    for _ in range(rounds):
+        third = (his - los) / 3.0
+        m1, m2 = los + third, his - third
+        levels.append((m1, m2))
+        los, his = los.repeat(2), his.repeat(2)
+        los[1::2], his[::2] = m1, m2
+    return levels
+
+
+def _ternary_search(cost_fn, lo, hi):
+    """The bracket ternary search leaves around the minimizer of ``cost_fn``.
+
+    Up to 200 rounds, each keeping the two thirds of the bracket on the side
+    of its cheaper third point, until the bracket is narrower than
+    ``1e-13 (1 + hi)``.  One cost call evaluates the third points of the
+    next :data:`_ROUNDS_PER_CALL` rounds along every path they may take
+    (:func:`_ternary_probes`).  The costs sum over their last axis, so each
+    point costs the same bits in a batch as alone, and the search follows
+    the same brackets, and ends with the same bits, as one that evaluates
+    two points per round.
+    """
+    rounds = 0
+    while True:
+        levels = _ternary_probes(lo, hi, min(_ROUNDS_PER_CALL, 200 - rounds))
+        values = cost_fn(np.concatenate([m for level in levels for m in level]))
+        offset, node = 0, 0
+        for m1, m2 in levels:
+            width = m1.size
+            if values[offset + node] < values[offset + width + node]:
+                hi, node = m2[node], 2 * node
+            else:
+                lo, node = m1[node], 2 * node + 1
+            offset += 2 * width
+            rounds += 1
+            if hi - lo < 1e-13 * (1.0 + hi) or rounds == 200:
+                return lo, hi
 
 
 def _grid_minimize(cost_fn, breakpoints, g0_max, step):
-    """Dense scan, then a bracket search around the grid minimum.
-
-    The costs are convex in g0, so the minimizer lies between the grid
-    neighbours of the grid minimum.  Each round evaluates that bracket at
-    :data:`_REFINE_POINTS` interior points in one call and shrinks it to the
-    neighbours of the points that share the least value, until it is
-    narrower than ``1e-13 (1 + hi)`` or stops shrinking.  Near the minimum
-    the computed cost is flat up to rounding, and keeping every tied point
-    keeps the search from drifting to one end of that flat stretch.  The
-    least cost seen is returned.
-    """
+    """Dense scan plus one ternary-search pass around the grid minimum."""
     breakpoints = np.asarray(breakpoints, dtype=float)
     top = float(np.max(breakpoints)) if breakpoints.size else 1.0
     if g0_max is None:
@@ -125,27 +163,14 @@ def _grid_minimize(cost_fn, breakpoints, g0_max, step):
         grid = np.unique(np.concatenate((grid, inside, midpoints)))
     costs = cost_fn(grid)
     best = int(np.argmin(costs))
-    g0, cost = float(grid[best]), float(costs[best])
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, grid.size - 1)]
-    # a round without ties shrinks the bracket about 32-fold
-    for _ in range(20):
-        if hi - lo < 1e-13 * (1.0 + hi):
-            break
-        points = np.linspace(lo, hi, _REFINE_POINTS + 2)[1:-1]
-        values = cost_fn(points)
-        ties = np.flatnonzero(values == values.min())
-        first, last = int(ties[0]), int(ties[-1])
-        if values[first] <= cost:
-            g0, cost = float(points[first]), float(values[first])
-        bracket = (
-            points[first - 1] if first > 0 else lo,
-            points[last + 1] if last < points.size - 1 else hi,
-        )
-        if bracket == (lo, hi):
-            break
-        lo, hi = bracket
-    return g0, cost
+    lo, hi = _ternary_search(cost_fn, lo, hi)
+    refined = 0.5 * (lo + hi)
+    refined_cost = float(cost_fn(np.asarray([refined]))[0])
+    if refined_cost <= costs[best]:
+        return float(refined), refined_cost
+    return float(grid[best]), float(costs[best])
 
 
 def oracle_g0_grid_wosc(y, rho: float, g0_max=None, step=None):

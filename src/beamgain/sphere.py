@@ -151,6 +151,8 @@ def one_blas_thread():
     again at the restored count.  The helpers are stopped only while this is
     the process's one Python thread: stopping the pool under another
     thread's threaded BLAS call would free the buffers that call uses.
+    Every thread running Python code counts, however it was started; a
+    thread that calls BLAS from C without running Python code is not seen.
     """
     global _one_thread_blocks, _saved_counts
     with _one_thread_lock:
@@ -174,7 +176,8 @@ def _set_counts(counts) -> None:
     Each build's helpers are stopped before the next build's count is set,
     so that no restarted helper spins while another build's pool restarts.
     """
-    stop = threading.active_count() == 1
+    # one entry per thread running Python code, not only threading's own
+    stop = len(sys._current_frames()) == 1
     for build, count in counts:
         build.put(count)
         if stop and build.stop is not None:

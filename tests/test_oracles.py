@@ -5,10 +5,12 @@ import pytest
 from conftest import random_geometry
 
 from beamgain import AdmmConfig, assemble_regions, build_gain_operators, run_wsc
+from beamgain import oracles
 from beamgain.errors import DomainError
 from beamgain.oracles import (
     OracleReport,
     clamped_cost_wosc,
+    clamped_cost_wsc,
     dual_certificate,
     oracle_g0_grid_wosc,
     oracle_g0_grid_wsc,
@@ -16,6 +18,20 @@ from beamgain.oracles import (
     oracle_sphere,
     secular_cost,
 )
+
+
+def _two_point_ternary_search(cost_fn, lo, hi):
+    """The oracle's ternary search, evaluating its two thirds each round."""
+    for _ in range(200):
+        third = (hi - lo) / 3.0
+        m1, m2 = lo + third, hi - third
+        if cost_fn(np.asarray([m1]))[0] < cost_fn(np.asarray([m2]))[0]:
+            hi = m2
+        else:
+            lo = m1
+        if hi - lo < 1e-13 * (1.0 + hi):
+            break
+    return lo, hi
 
 
 class TestLevelGridOracle:
@@ -49,6 +65,23 @@ class TestLevelGridOracle:
             g0_max = 1.2 * max(np.max(np.abs(y)), top)
             _, fine = oracle_g0_grid_wosc(y, rho, g0_max=g0_max, step=1e-4 * g0_max)
             assert abs(coarse - fine) < 1e-6
+
+    def test_search_ends_on_the_two_point_search_bits(self, rng):
+        costs = [lambda g: np.zeros_like(g), lambda g: g * g]
+        brackets = [(0.5, 2.0), (-2.0, -1.0)]
+        for _ in range(100):
+            y = (rng.normal(size=int(rng.integers(1, 13))) * 1j + 1.0) * 10.0 ** rng.uniform(-2, 3)
+            z2 = rng.normal(size=int(rng.integers(1, 13))) + 0j
+            rho, gamma = 10.0 ** rng.uniform(-1, 3.5), 10.0 ** rng.uniform(-4, 0.5)
+            costs += [lambda g, y=y, rho=rho: clamped_cost_wosc(g, y, rho),
+                      lambda g, y=y, z2=z2, rho=rho, gamma=gamma:
+                          clamped_cost_wsc(g, y, z2, rho, gamma)]
+            top = float(np.abs(y).max())
+            brackets += [(0.9 * top, 1.1 * top)] * 2
+        # on (-2, -1) the width test never passes; only the 200-round cap ends it
+        for cost_fn, (lo, hi) in zip(costs, brackets):
+            expected = _two_point_ternary_search(cost_fn, np.float64(lo), np.float64(hi))
+            assert oracles._ternary_search(cost_fn, np.float64(lo), np.float64(hi)) == expected
 
     def test_vectorized_cost_matches_scalar(self, rng):
         y = rng.normal(size=5) + 1j * rng.normal(size=5)

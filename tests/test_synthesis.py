@@ -1,4 +1,5 @@
 import resource
+import sys
 import threading
 import time
 from dataclasses import replace
@@ -361,14 +362,17 @@ class TestBlasThreads:
     def test_constrained_run_leaves_no_helper_spinning(self):
         if blas_threads().get("numpy", 1) < 2:
             pytest.skip("needs an OpenBLAS build with at least two threads")
-        assert threading.active_count() == 1, "helpers stop only in a one-thread process"
+        if len(sys._current_frames()) > 1:
+            pytest.skip("helpers stop only in a process running one Python thread")
         problem = SynthesisProblem(
             geometry=nonuniform41(), beam_center_deg=0.0, beamwidth_deg=20.0,
             dsll_db=-25.0, admm=AdmmConfig(rho_init=2000.0, iter_max=20),
         )
         # Q Q^H wakes the helper; the set-up stops it once the counts are back
-        assert helper_cpu_ms(lambda: synthesize(problem))[1] < 5.0
+        stopped = helper_cpu_ms(lambda: synthesize(problem))[1]
         # positive control: the bare product leaves it spinning
         mainlobe, sidelobe = assemble_regions(0.0, 20.0, 3.0, 0.5)
         q = build_gain_operators(nonuniform41(), mainlobe, sidelobe).Q
-        assert helper_cpu_ms(lambda: q @ q.conj().T)[1] > 20.0
+        spinning = helper_cpu_ms(lambda: q @ q.conj().T)[1]
+        assert spinning > 20.0
+        assert stopped < 0.1 * spinning

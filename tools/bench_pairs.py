@@ -1,15 +1,15 @@
 """Alternating parent/change benchmark pairs, written as one BENCH_<n>.json.
 
-Usage, from the repository root::
+Usage, from the repository root, with the change uncommitted::
 
     python3 tools/bench_pairs.py --out BENCH_24.json --first-seed 2401 \\
-        --workload wsc-nonuniform41 --pairs 10 \\
+        --workload wsc-nonuniform41 \\
         --claim wsc-nonuniform41:cpu_ms_per_problem
 
-For each workload, pair i runs ``perfbench/run.py --seconds 30 --trace 0``
-once on the parent and once on the working tree, with seed
-``first-seed + i`` on both sides (the parent first when i is even).  The
-parent is the committed tree of ``--parent`` (default ``HEAD``), exported
+For each workload, pair i of ten runs ``perfbench/run.py --trace 0`` for
+``BENCHMARK.json``'s ``run_seconds`` once on the parent and once on the
+working tree, with seed ``first-seed + i`` on both sides (the parent first
+when i is even).  The parent is the committed tree of ``HEAD``, exported
 with ``git archive`` into a temporary directory, so the parent side runs the
 committed files alone.  Workloads take consecutive seed ranges in the order
 given.
@@ -20,8 +20,8 @@ wins and losses over pairs, each seed's failed problems on both sides, and
 the problems both sides reached whose answers (``g0_dbi``, ``osll_db``,
 ``iterations``, ``converged``) differ.  A claim ``workload:metric`` adds a
 verdict: the change must win at least nine in ten pairs, and its median must
-beat the parent's by more than the parent's quartile spread.  ``--traced``
-adds one ``--trace 1`` run on the working tree per workload.
+beat the parent's by more than the parent's quartile spread.  One
+``--trace 1`` run on the working tree follows each workload's pairs.
 
 Only the standard library is used; the benchmark itself needs numpy.
 """
@@ -42,33 +42,28 @@ ROOT = Path(__file__).resolve().parent.parent
 ANSWER_FIELDS = ("g0_dbi", "osll_db", "iterations", "converged")
 # a sweep row has no beamwidth; its key holds None there
 PROBLEM_KEY = ("pass", "theta_c_deg", "beamwidth_deg", "dsll_db")
+PAIRS = 10
 
 
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--workload", action="append", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--parent", default="HEAD")
     parser.add_argument("--claim", action="append", default=[],
                         help="workload:metric whose gain is claimed")
-    parser.add_argument("--traced", action="store_true")
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
     for claim in args.claim:
         if claim.split(":")[0] not in args.workload:
             parser.error(f"claim {claim} names no benchmarked workload")
     return args
 
 
-def export_tree(rev: str, into: Path) -> Path:
-    """The committed files of ``rev``, extracted under ``into``."""
+def export_head(into: Path) -> Path:
+    """The committed files of ``HEAD``, extracted under ``into``."""
     archive = into / "tree.tar"
     with archive.open("wb") as handle:
-        subprocess.run(["git", "archive", rev], cwd=ROOT, stdout=handle, check=True)
+        subprocess.run(["git", "archive", "HEAD"], cwd=ROOT, stdout=handle, check=True)
     tree = into / "tree"
     with tarfile.open(archive) as tar:
         tar.extractall(tree, filter="data")
@@ -88,8 +83,6 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -
 
 
 def quartiles(values) -> list[float]:
-    if len(values) < 2:
-        return [values[0], values[0]]
     q = statistics.quantiles(values, n=4, method="inclusive")
     return [q[0], q[2]]
 
@@ -182,11 +175,12 @@ def compare(records_dir: Path, parent, change) -> tuple[int, str]:
 def main(argv=None) -> int:
     args = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
     claims = dict(claim.split(":", 1) for claim in args.claim)
     report = {
         "what": (
-            f"perfbench/run.py --seconds {args.seconds:g} --trace 0, {args.pairs} pairs per "
-            f"workload, parent ({args.parent}, committed files) and change (working tree) "
+            f"perfbench/run.py --seconds {seconds:g} --trace 0, {PAIRS} pairs per "
+            "workload, parent (HEAD, committed files) and change (working tree) "
             "alternating which runs first. compare holds perfbench/compare.py's output on "
             "each workload's records; summary holds per-metric medians, inclusive "
             "quartiles and the change's wins over pairs; failures lists each seed's "
@@ -197,18 +191,18 @@ def main(argv=None) -> int:
     }
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         tmp = Path(tmp)
-        trees = {"parent": export_tree(args.parent, tmp), "change": ROOT}
+        trees = {"parent": export_head(tmp), "change": ROOT}
         seed = args.first_seed
         for workload in args.workload:
             records = {"parent": [], "change": []}
-            seeds = list(range(seed, seed + args.pairs))
-            seed += args.pairs
+            seeds = list(range(seed, seed + PAIRS))
+            seed += PAIRS
             for i, pair_seed in enumerate(seeds):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
                     print(f"{workload} seed {pair_seed} {side}", file=sys.stderr, flush=True)
                     records[side].append(
-                        run_once(trees[side], workload, pair_seed, args.seconds, 0))
+                        run_once(trees[side], workload, pair_seed, seconds, 0))
             code, text = compare(tmp, records["parent"], records["change"])
             summary = summarize(spec["end_to_end"], records["parent"], records["change"])
             matched, differing = match_answers(records["parent"], records["change"])
@@ -225,15 +219,14 @@ def main(argv=None) -> int:
             if workload in claims:
                 metric = next(m for m in spec["end_to_end"] if m["name"] == claims[workload])
                 entry["claim"] = verdict(metric, summary[metric["name"]])
-            if args.traced:
-                record = run_once(ROOT, workload, seed, args.seconds, 1)
-                seed += 1
-                entry["trace_run"] = {
-                    "what": f"perfbench/run.py --seed {record['seed']} --trace 1 on the "
-                            "change; details.unwrapped lists the wrap targets the tracer "
-                            "could not find",
-                    "record": record,
-                }
+            record = run_once(ROOT, workload, seed, seconds, 1)
+            seed += 1
+            entry["trace_run"] = {
+                "what": f"perfbench/run.py --seed {record['seed']} --trace 1 on the "
+                        "change; details.unwrapped lists the wrap targets the tracer "
+                        "could not find",
+                "record": record,
+            }
             entry["records"] = records
             report["workloads"][workload] = entry
             # written after each workload, so a cut run keeps what it finished

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .errors import (
     DegenerateGeometryError,
@@ -26,6 +26,9 @@ from .errors import (
     NumericalError,
 )
 from .sphere import RowBlockedProduct, _openblas_builds, one_blas_thread
+
+if TYPE_CHECKING:
+    from numpy.typing import NDArray
 
 __all__ = [
     "AngularGrid",
@@ -397,8 +400,9 @@ def power_gain_pattern(
 
     ``G(theta) = 2 |a(theta)^H w|^2 / (w^H A w)``; invariant under scaling
     of ``w`` by any nonzero complex constant.  The product ``a(theta)^H w``
-    runs in row blocks that OpenBLAS does not thread, with the bits of the
-    plain product.
+    runs on one OpenBLAS thread (:func:`beamgain.sphere.one_blas_thread`)
+    with the bits of the plain two-thread product
+    (:class:`beamgain.sphere.RowBlockedProduct`), at any thread count.
     """
     w = np.asarray(weights, dtype=complex)
     if w.shape != (geometry.n_elements,):
@@ -409,7 +413,8 @@ def power_gain_pattern(
     if isinstance(theta_deg, AngularGrid):
         theta_deg = theta_deg.angles
     steer = steering_matrix(geometry, theta_deg)
-    numerator = 2.0 * np.abs(RowBlockedProduct(steer.conj().T)(w)) ** 2
+    with one_blas_thread():
+        numerator = 2.0 * np.abs(RowBlockedProduct(steer.conj().T)(w)) ** 2
     denominator = np.real(w.conj() @ (a @ w))
     gain = numerator / denominator
     return 10.0 * np.log10(np.maximum(gain, _DB_FLOOR))

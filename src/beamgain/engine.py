@@ -13,14 +13,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from numbers import Integral
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .arraymodel import GainOperators
 from .errors import DomainError, NumericalError
-from .sphere import RowBlockedProduct, SphereSolver
+from .sphere import SphereSolver, one_blas_thread
 from .subproblems import update_g_wosc, update_gh_wsc
+
+if TYPE_CHECKING:
+    from numpy.typing import NDArray
 
 __all__ = ["AdmmConfig", "AdmmHistory", "AdmmState", "run_wosc", "run_wsc", "update_duals"]
 
@@ -131,47 +134,56 @@ def _initial_state(n: int, l_ml: int, l_sl: int, rho: float) -> AdmmState:
 
 
 def _run(p, q, cfg: AdmmConfig, gamma, solver: SphereSolver, callback=None) -> AdmmState:
+    """The loop, on one OpenBLAS thread (:func:`one_blas_thread`) throughout.
+
+    So no product of the loop wakes OpenBLAS's helper thread.  ``P d1`` and
+    ``Q d2`` in the solve are computed as OpenBLAS's two-thread split
+    (:class:`beamgain.sphere.RowBlockedProduct`), and ``[P^H; Q^H] x``
+    rounds alike on one thread and two.  ``callback`` runs inside the block,
+    so its BLAS calls run on one thread.
+    """
     n, l_ml = p.shape
     if l_ml == 0:
         raise DomainError("mainlobe operator must have at least one column")
     q = None if q is None or q.shape[1] == 0 else q
     l_sl = 0 if q is None else q.shape[1]
 
-    ph = np.ascontiguousarray(p.conj().T)
-    qh = RowBlockedProduct(np.ascontiguousarray(q.conj().T)) if q is not None else None
+    # [P^H; Q^H], C-ordered: one product gives P^H x and Q^H x, each row's
+    # dot product rounding as it does alone
+    adjoint = np.ascontiguousarray((p if q is None else np.hstack((p, q))).conj().T)
     state = _initial_state(n, l_ml, l_sl, cfg.rho_init)
-    px = ph @ state.x
-    qx = qh(state.x) if q is not None else None
-
-    for k in range(cfg.iter_max):
-        z1 = px + state.rho * state.u1
-        if q is None:
-            state.g0, state.g = update_g_wosc(z1, state.rho)
-        else:
-            z2 = qx + state.rho * state.u2
-            state.g0, state.g, state.h = update_gh_wsc(z1, z2, state.rho, gamma)
-        d1 = state.g - state.rho * state.u1
-        d2 = state.h - state.rho * state.u2 if q is not None else None
-        try:
-            state.x = solver.solve(d1, d2)
-        except NumericalError as exc:
-            raise NumericalError(f"iteration {k + 1}: {exc}") from exc
-        px = ph @ state.x
-        if q is not None:
-            qx = qh(state.x)
-        update_duals(state, px, qx)
-        state.iteration = k + 1
-        state.history.append(
-            state.g0, state.residual_ml, state.residual_sl, state.rho
-        )
-        if callback is not None:
-            callback(state)
-        if state.residual_ml <= RESIDUAL_TOL and (
-            q is None or state.residual_sl <= RESIDUAL_TOL
-        ):
-            state.converged = True
-            break
-        state.rho = max(state.rho * cfg.rho_decay, RHO_FLOOR)
+    with one_blas_thread():
+        pqx = adjoint @ state.x
+        for k in range(cfg.iter_max):
+            scaled_u1 = state.rho * state.u1
+            z1 = pqx[:l_ml] + scaled_u1
+            if q is None:
+                state.g0, state.g = update_g_wosc(z1, state.rho)
+                d2 = None
+            else:
+                scaled_u2 = state.rho * state.u2
+                z2 = pqx[l_ml:] + scaled_u2
+                state.g0, state.g, state.h = update_gh_wsc(z1, z2, state.rho, gamma)
+                d2 = state.h - scaled_u2
+            d1 = state.g - scaled_u1
+            try:
+                state.x = solver.solve(d1, d2)
+            except NumericalError as exc:
+                raise NumericalError(f"iteration {k + 1}: {exc}") from exc
+            pqx = adjoint @ state.x
+            update_duals(state, pqx[:l_ml], pqx[l_ml:] if q is not None else None)
+            state.iteration = k + 1
+            state.history.append(
+                state.g0, state.residual_ml, state.residual_sl, state.rho
+            )
+            if callback is not None:
+                callback(state)
+            if state.residual_ml <= RESIDUAL_TOL and (
+                q is None or state.residual_sl <= RESIDUAL_TOL
+            ):
+                state.converged = True
+                break
+            state.rho = max(state.rho * cfg.rho_decay, RHO_FLOOR)
     return state
 
 

@@ -16,11 +16,14 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    from numpy.typing import NDArray
 
 __all__ = [
     "OracleReport",

@@ -25,12 +25,14 @@ import sys
 import threading
 from contextlib import contextmanager
 from math import isfinite, sqrt
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .errors import DomainError, NumericalError
+
+if TYPE_CHECKING:
+    from numpy.typing import NDArray
 
 __all__ = [
     "RowBlockedProduct",
@@ -47,10 +49,9 @@ _SECULAR_STEPS = 300
 _SECULAR_TOL = 1e-12
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
-# OpenBLAS runs a complex GEMV on its thread pool once m * n reaches this.
+# OpenBLAS runs a complex GEMV on two threads once m * n reaches this (and
+# each thread gets at least 4 rows).
 _GEMV_THREADING_SIZE = 4096
-# Rows per block of a NoTrans product; a multiple of the kernel's 4-row groups.
-_NOTRANS_BLOCK_ROWS = 8
 # Each OpenBLAS build by name: an extension module that links it, and the
 # suffix of its exported symbols.
 _OPENBLAS_MODULES = {
@@ -216,12 +217,15 @@ def secular_bisect(lambdas, beta) -> float:
     if lam.ndim != 1 or beta.shape != lam.shape:
         raise DomainError("eigenvalues and projections must match in length")
     mask = beta != 0.0
-    if not mask.any():
-        raise DomainError("beta must not be identically zero")
-    lam = lam[mask]
-    ab = np.abs(beta[mask])
+    # the ufunc reductions, without the methods' Python wrappers
+    if not np.logical_and.reduce(mask):
+        if not np.logical_or.reduce(mask):
+            raise DomainError("beta must not be identically zero")
+        lam = lam[mask]
+        beta = beta[mask]
+    ab = np.abs(beta)
     beta_sq = ab * ab
-    sqrt_m = np.sqrt(ab.size)
+    sqrt_m = sqrt(ab.size)
     # f(nu) = sum(beta_sq / (nu - lam)**2) - 1 and f'(nu) = -2 sum(beta_sq /
     # (nu - lam)**3), evaluated in place.  The ADMM loop amplifies rounding,
     # so these are exactly the operations of the plain expressions.
@@ -307,81 +311,63 @@ def _unit_coefficients(
     """
     ab = np.abs(beta)
     beta_max = float(ab.max())
-    alpha = np.zeros_like(beta)
     if beta_max == 0.0:
+        alpha = np.zeros_like(beta)
         alpha[0] = 1.0
         return alpha
     mask = ab > _BETA_CUTOFF * beta_max
-    lam = lambdas[mask]
-    b = beta[mask]
-    if not (mask & bottom).any():
+    # usually every component passes, the bottom one too, so that there is
+    # no hard case and nothing to copy or scatter
+    every = np.logical_and.reduce(mask)
+    lam, b = (lambdas, beta) if every else (lambdas[mask], beta[mask])
+    if not every and not (mask & bottom).any():
         ratio = b / (lam - float(lambdas[0]))
         residual_sum = float(np.add.reduce(ratio**2))
         if residual_sum < 1.0:
+            alpha = np.zeros_like(beta)
             alpha[mask] = ratio
             alpha[0] += np.sqrt(1.0 - residual_sum)
             return alpha
     nu = secular_bisect(lam, b)
     denom = lam - nu
-    denom = np.where(denom > 0, denom, _TINY)
-    alpha[mask] = b / denom
+    alpha = b / np.where(denom > 0, denom, _TINY)
+    if not every:
+        scattered = np.zeros_like(beta)
+        scattered[mask] = alpha
+        alpha = scattered
     # np.linalg.norm's own arithmetic for a real vector
     return alpha / sqrt(alpha.dot(alpha))
 
 
-def _row_cuts(a: NDArray[np.complex128]) -> list[int]:
-    """Row boundaries of the blocks :class:`RowBlockedProduct` computes.
-
-    A product below the threading size is one block.  An F-ordered operator
-    (OpenBLAS's NoTrans kernel, whose rounding depends on the row range) is
-    split like OpenBLAS's two-thread split, at ``ceil(m/2)``, and each half
-    is cut into 8-row blocks.  A C-ordered one (Trans kernel, one dot product
-    per row, so any split rounds alike) is cut into equal blocks.  numpy
-    computes a one-row product as a dot product, which rounds differently,
-    so a block never has one row; where the rules cannot keep every block
-    below the threading size with at least two rows, the product stays whole.
-    """
-    m, n = a.shape
-    if m * n < _GEMV_THREADING_SIZE:
-        return [0, m]
-    if a.flags.f_contiguous:
-        half = -(-m // 2)
-        cuts = [0]
-        for lo, hi in ((0, half), (half, m)):
-            # a last piece of one row joins the block before it
-            cuts += range(lo + _NOTRANS_BLOCK_ROWS, hi - 1, _NOTRANS_BLOCK_ROWS)
-            cuts.append(hi)
-    elif a.flags.c_contiguous:
-        count = -(-m // max((_GEMV_THREADING_SIZE - 1) // n, 1))
-        cuts = [i * m // count for i in range(count + 1)]
-    else:
-        return [0, m]
-    sizes = np.diff(cuts)
-    if sizes.min() < 2 or sizes.max() * n >= _GEMV_THREADING_SIZE:
-        return [0, m]
-    return cuts
-
-
 class RowBlockedProduct:
-    """``a @ v`` computed in fixed row blocks that OpenBLAS never threads.
+    """``a @ v`` on one OpenBLAS thread, with the bits of its two-thread product.
 
-    A threaded GEMV wakes OpenBLAS's worker thread on every call, and the
-    worker then spins; with one solver process per CPU the spinning threads
-    starve the solvers.  The blocks (see :func:`_row_cuts`) reproduce the bits
-    of the plain product at OpenBLAS's two-thread default, and give those
-    same bits at any thread count.  A product does not pickle: a pickled one
-    arrives with C-ordered copies of its blocks, which round differently.
+    At two threads OpenBLAS splits the product of an F-ordered complex
+    operand (NoTrans kernel, whose rounding depends on the row range) at row
+    ``ceil(m/2)`` once it reaches the GEMV threading size with 4 rows per
+    half, so such a product is computed as those two halves; any other is
+    one product (a C-ordered operand runs the Trans kernel, one dot product
+    per row, so any split rounds alike).  Call it inside a
+    :func:`one_blas_thread` block, where no call wakes a helper thread and
+    the bits do not depend on the caller's count; on a build that block does
+    not find, the halves run at the library's own count.  A split product
+    does not pickle: it would arrive with C-ordered copies of its halves.
     """
 
     def __init__(self, a: NDArray[np.complex128]):
-        cuts = _row_cuts(a)
-        self._rows = a.shape[0]
+        m, n = a.shape
+        half = -(-m // 2)
+        split = a.flags.f_contiguous and m * n >= _GEMV_THREADING_SIZE and half >= 4
+        cuts = [0, half, m] if split else [0, m]
+        self._rows = m
         self._blocks = [(lo, hi, a[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
 
     def __reduce__(self):
-        raise TypeError(
-            "a RowBlockedProduct must be built in the process that uses it"
-        )
+        if len(self._blocks) > 1:
+            raise TypeError(
+                "a RowBlockedProduct must be built in the process that uses it"
+            )
+        return RowBlockedProduct, (self._blocks[0][2],)
 
     def __call__(self, v: NDArray[np.complex128]) -> NDArray[np.complex128]:
         out = np.empty(self._rows, dtype=complex)
@@ -400,8 +386,12 @@ class SphereSolver:
     (:func:`one_blas_thread`), which gives the bits of the threaded calls;
     ``Q Q^H`` runs just before, at the caller's thread count, because its
     bits depend on it, and the block stops the BLAS helper threads it woke,
-    so none spins beside the loop.  A solver with a sidelobe block
-    does not pickle (see :class:`RowBlockedProduct`).
+    so none spins beside the loop.  Each solve runs in a block of its own,
+    nested in the loop's (a lock and a counter) and a count change of its
+    own when called outside it, and computes ``P d1`` and ``Q d2`` as
+    :class:`RowBlockedProduct`; so its bits are those of the plain
+    two-thread products, at any thread count.  A solver whose products are
+    split does not pickle (see :class:`RowBlockedProduct`).
     """
 
     def __init__(
@@ -417,6 +407,7 @@ class SphereSolver:
             q.ndim != 2 or q.shape[0] != self._p.shape[0] or not np.all(np.isfinite(q))
         ):
             raise DomainError("the sidelobe operator must be a finite matrix with P's rows")
+        self._p_product = RowBlockedProduct(self._p)
         self._q_product = RowBlockedProduct(q) if q is not None else None
         # first, at the caller's thread count: its bits depend on the count
         q_gram = _realify_operator(q @ q.conj().T) if q is not None else None
@@ -429,12 +420,13 @@ class SphereSolver:
 
     def solve(self, d1, d2=None) -> NDArray[np.complex128]:
         """Unit-norm complex minimizer for the targets ``d1`` (and ``d2``)."""
-        b = self._p @ d1
-        if self._q_product is not None:
-            b = b + self._q_product(d2)
-        beta = self._u.T @ np.concatenate((b.real, b.imag))
-        alpha = _unit_coefficients(self._lambdas, self._bottom, beta)
-        x = self._u @ alpha
+        with one_blas_thread():
+            b = self._p_product(d1)
+            if self._q_product is not None:
+                b = b + self._q_product(d2)
+            beta = self._u.T @ np.concatenate((b.real, b.imag))
+            alpha = _unit_coefficients(self._lambdas, self._bottom, beta)
+            x = self._u @ alpha
         x = x / sqrt(x.dot(x))
         n = x.size // 2
         return x[:n] + 1j * x[n:]

@@ -15,10 +15,15 @@ the global minimizer.
 
 from __future__ import annotations
 
+from math import sqrt
+from typing import TYPE_CHECKING
+
 import numpy as np
-from numpy.typing import NDArray
 
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    from numpy.typing import NDArray
 
 __all__ = ["update_g_wosc", "update_gh_wsc"]
 
@@ -27,16 +32,25 @@ def _checked_complex(name: str, values) -> NDArray[np.complex128]:
     arr = np.asarray(values, dtype=complex)
     if arr.ndim != 1:
         raise DomainError(f"{name} must be a 1-D vector")
-    if not np.isfinite(arr).all():
+    if not np.logical_and.reduce(np.isfinite(arr)):
         raise DomainError(f"{name} contains non-finite entries")
     return arr
 
 
-def _prefix_sums(values) -> NDArray:
-    """``[0, values[0], values[0] + values[1], ...]``: cumulative sums after a zero."""
-    out = np.zeros(len(values) + 1, dtype=np.result_type(values, 0))
-    np.cumsum(values, out=out[1:])
+def _prefix_sums(values, dtype=float) -> NDArray:
+    """``[0, values[0], values[0] + values[1], ...]``: cumulative sums after a zero.
+
+    ``np.cumsum``'s own loop, without its wrapper's overhead.
+    """
+    out = np.empty(values.size + 1, dtype=dtype)
+    out[0] = 0
+    np.add.accumulate(values, dtype=dtype, out=out[1:])
     return out
+
+
+def _angle(z):
+    """``np.angle`` of a complex vector: its arithmetic without its wrapper."""
+    return np.arctan2(z.imag, z.real)
 
 
 def _clip(values, lower, upper) -> None:
@@ -83,8 +97,8 @@ def update_g_wosc(
     cost = -candidates + (
         count * candidates**2 - 2.0 * candidates * clamped_sum + clamped_sumsq
     ) / (2.0 * rho)
-    g0 = float(candidates[np.argmin(cost)])
-    g = np.maximum(abs_y, g0) * np.exp(1j * np.angle(y))
+    g0 = float(candidates[cost.argmin()])
+    g = np.maximum(abs_y, g0) * np.exp(1j * _angle(y))
     return g0, g
 
 
@@ -116,24 +130,25 @@ def update_gh_wsc(
         g0, g = update_g_wosc(z1, rho)
         return g0, g, np.zeros(0, dtype=complex)
 
-    sqrt_gamma = float(np.sqrt(gamma))
+    sqrt_gamma = sqrt(gamma)
     abs1 = np.abs(z1)
     abs2 = np.abs(z2)
     thresholds = np.concatenate((abs1, abs2 / sqrt_gamma))
-    order = np.argsort(thresholds, kind="stable")
+    order = thresholds.argsort(kind="stable")
     thresholds = thresholds[order]
     # the sidelobe entries follow the mainlobe ones before sorting
     is_sidelobe = order >= abs1.size
     moduli = np.concatenate((abs1, abs2))[order]
 
     ml_moduli = np.where(is_sidelobe, 0.0, moduli)
-    k1 = _prefix_sums(~is_sidelobe)
+    k1 = _prefix_sums(~is_sidelobe, np.intp)
     s1 = _prefix_sums(ml_moduli)
     q1 = _prefix_sums(ml_moduli * ml_moduli)
 
     sl_moduli = np.where(is_sidelobe, moduli, 0.0)
     sl_squares = sl_moduli * sl_moduli
-    sl_prefix = _prefix_sums(is_sidelobe)
+    # the sidelobe entries among the first i thresholds, counted exactly
+    sl_prefix = np.arange(k1.size) - k1
     k2 = sl_prefix[-1] - sl_prefix
     s2 = np.add.reduce(sl_moduli) - _prefix_sums(sl_moduli)
     q2 = np.add.reduce(sl_squares) - _prefix_sums(sl_squares)
@@ -147,13 +162,14 @@ def update_gh_wsc(
     candidates = upper.copy()
     np.divide(numerator, denominator, out=candidates, where=denominator > 0)
     _clip(candidates, lower, upper)
+    squares = candidates**2
     cost = (
         -candidates
-        + (k1 * candidates**2 - 2.0 * candidates * s1 + q1) / (2.0 * rho)
-        + (gamma * k2 * candidates**2 - 2.0 * sqrt_gamma * candidates * s2 + q2)
+        + (k1 * squares - 2.0 * candidates * s1 + q1) / (2.0 * rho)
+        + (gamma * k2 * squares - 2.0 * sqrt_gamma * candidates * s2 + q2)
         / (2.0 * rho)
     )
-    g0 = float(candidates[np.argmin(cost)])
-    g = np.maximum(abs1, g0) * np.exp(1j * np.angle(z1))
-    h = np.minimum(abs2, sqrt_gamma * g0) * np.exp(1j * np.angle(z2))
+    g0 = float(candidates[cost.argmin()])
+    g = np.maximum(abs1, g0) * np.exp(1j * _angle(z1))
+    h = np.minimum(abs2, sqrt_gamma * g0) * np.exp(1j * _angle(z2))
     return g0, g, h

@@ -14,9 +14,9 @@ import os
 import time
 from dataclasses import dataclass, field, replace
 from numbers import Integral
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.typing import NDArray
 
 from . import engine
 from .arraymodel import (
@@ -30,6 +30,9 @@ from .arraymodel import (
 from .engine import AdmmConfig, AdmmHistory, AdmmState, run_wosc, run_wsc
 from .errors import BeamgainError, DomainError
 from .sphere import SphereSolver
+
+if TYPE_CHECKING:
+    from numpy.typing import NDArray
 
 __all__ = [
     "SweepRow",

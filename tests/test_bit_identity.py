@@ -8,7 +8,13 @@ The reference below keeps the earlier ``_run``, ``update_duals``,
 ``SphereSolver``, ``_unit_coefficients``, ``secular_bisect`` and the level
 updates ``update_g_wosc`` and ``update_gh_wsc`` verbatim, with the helpers
 they call and the state, history and configuration records they read, and
-two full acceptance rows must agree bit for bit.  The reference carries
+two full acceptance rows and a wide-mainlobe row must agree bit for bit.
+Two products depart from the earlier code: the reference computes ``P d1``
+and ``Q d2`` as OpenBLAS computes them at two threads, but on one thread
+(``_two_thread_product``), whose bits the production products give at any
+thread count, so that the rows agree at one OpenBLAS thread as well as at
+two.  The wide-mainlobe row is the one whose ``P`` reaches OpenBLAS's
+threading size.  The reference carries
 separate mainlobe and sidelobe penalties ``rho1`` and ``rho2``; both start
 at ``rho_init`` and decay together, so each must equal the single
 production ``rho``.
@@ -42,6 +48,7 @@ from beamgain import (
 from beamgain import sphere as production_sphere
 from beamgain import subproblems as production_levels
 from beamgain.engine import AdmmHistory, amplitude_to_dbi
+from beamgain.sphere import one_blas_thread
 
 # ---------------------------------------------------------------------------
 # Reference implementation (verbatim apart from names).
@@ -272,6 +279,23 @@ def _unit_coefficients(
     return alpha / np.linalg.norm(alpha)
 
 
+def _two_thread_product(a, v) -> NDArray[np.complex128]:
+    """``a @ v`` as OpenBLAS computes it at two threads, but on one thread.
+
+    At two threads OpenBLAS splits the rows of an F-ordered operand of at
+    least 4096 entries at ``ceil(m/2)`` when each half has 4 rows or more,
+    and each half rounds as its own product; a smaller operand is one
+    product, and a C-ordered one rounds alike however it is split.
+    Computing the halves on one thread gives those bits at any thread count.
+    """
+    m, n = a.shape
+    half = -(-m // 2)
+    with one_blas_thread():
+        if not a.flags.f_contiguous or m * n < 4096 or half < 4:
+            return a @ v
+        return np.concatenate((a[:half] @ v, a[half:] @ v))
+
+
 class SphereSolver:
     """Reusable sphere least-squares solver for fixed region operators.
 
@@ -321,9 +345,9 @@ class SphereSolver:
         """Unit-norm complex minimizer of the weighted stacked least squares."""
         ratio = weight_sl / weight_ml if self._q is not None else 0.0
         lambdas, u = self._eigensystem(ratio)
-        b = self._p @ np.asarray(d1, dtype=complex)
+        b = _two_thread_product(self._p, np.asarray(d1, dtype=complex))
         if self._q is not None:
-            b = b + ratio * (self._q @ np.asarray(d2, dtype=complex))
+            b = b + ratio * _two_thread_product(self._q, np.asarray(d2, dtype=complex))
         beta = u.T @ complex_to_real(b)
         alpha = _unit_coefficients(lambdas, beta, self._tol)
         x = u @ alpha
@@ -542,6 +566,10 @@ ROWS = {
     "ula41-30deg": (ula41, 30.0, None, AdmmConfig(rho_init=1000.0, rho_decay=0.99, iter_max=2000)),
     "nonuniform41-35dB": (
         nonuniform41, 20.0, -35.0, AdmmConfig(rho_init=2000.0, rho_decay=0.99, iter_max=2000)
+    ),
+    # 121 mainlobe angles: P (41 x 121) reaches OpenBLAS's threading size
+    "nonuniform41-60deg-20dB": (
+        nonuniform41, 60.0, -20.0, AdmmConfig(rho_init=2000.0, rho_decay=0.99, iter_max=2000)
     ),
 }
 

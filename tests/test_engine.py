@@ -12,6 +12,7 @@ from beamgain import (
     run_wsc,
 )
 from beamgain.engine import RESIDUAL_TOL, amplitude_to_dbi, update_duals
+from beamgain.sphere import blas_threads
 from conftest import random_geometry
 
 
@@ -217,6 +218,18 @@ class TestRunWsc:
         # obtained sidelobe cap respected by the converged pattern
         sll = np.max(np.abs(ops.Q.conj().T @ state.x))
         assert sll <= np.sqrt(gamma) * state.g0 * (1 + 1e-3) + 1e-4
+
+
+    def test_loop_runs_on_one_blas_thread(self):
+        # each iteration sees every OpenBLAS build at one thread, and the
+        # caller's counts are back after the run
+        before = blas_threads()
+        seen = []
+        ops = make_ops(ula(17), 30.0, with_sidelobe=True)
+        cfg = AdmmConfig(rho_init=500.0, iter_max=5)
+        run_wsc(ops, cfg, 0.01, callback=lambda state: seen.append(blas_threads()))
+        assert seen == [dict.fromkeys(before, 1)] * 5
+        assert blas_threads() == before
 
 
 class TestScaleRobustness:

@@ -15,12 +15,14 @@ import pytest
 from conftest import helper_cpu_ms, random_sphere_problem, sphere_cost
 
 from beamgain import (
+    ArrayGeometry,
     DomainError,
     NumericalError,
     SphereSolver,
     assemble_regions,
     build_gain_operators,
     nonuniform41,
+    power_gain_pattern,
     secular_bisect,
     steering_matrix,
 )
@@ -180,7 +182,7 @@ class TestSphereSolver:
 _CHILD_PRODUCT = """
 import numpy as np
 from beamgain import assemble_regions, build_gain_operators, nonuniform41, steering_matrix
-from beamgain.sphere import RowBlockedProduct
+from beamgain.sphere import RowBlockedProduct, one_blas_thread
 
 rng = np.random.default_rng(7)
 operands = []
@@ -192,7 +194,8 @@ for op in operands:
     product = RowBlockedProduct(op)
     for _ in range(20):
         d = rng.normal(size=op.shape[1]) + 1j * rng.normal(size=op.shape[1])
-        print(product(d).tobytes().hex())
+        with one_blas_thread():
+            print(product(d).tobytes().hex())
 """
 
 
@@ -456,22 +459,76 @@ class TestOneBlasThread:
         assert blas_threads() == before
 
 
+def _blocked_product_operand(operand):
+    """An operand as the sphere solve or the pattern pass uses it.
+
+    ``Q^H`` at two centers is C-ordered.  ``a(theta)^H`` on the pattern grid,
+    ``Q`` and the ``P`` of a 60 deg mainlobe are F-ordered and reach
+    OpenBLAS's threading size; ``a(theta)^H`` of an 11-element line is
+    F-ordered and stays below it.
+    """
+    theta = -90.0 + 0.5 * np.arange(361)
+    if operand == "steering":
+        # a(theta)^H on the full-span pattern grid, as the pattern pass uses it
+        op = steering_matrix(nonuniform41(), theta).conj().T
+        assert op.shape == (361, 41) and op.flags.f_contiguous
+        return op
+    if operand == "small":
+        line = ArrayGeometry(positions=0.5 * np.arange(11), efficiencies=np.ones(11))
+        op = steering_matrix(line, theta).conj().T
+        assert op.size < 4096 and op.flags.f_contiguous
+        return op
+    if operand == "wide":
+        mainlobe, _ = assemble_regions(0.0, 60.0, 3.0, 0.5)
+        op = build_gain_operators(nonuniform41(), mainlobe).P
+        assert op.shape == (41, 121) and op.flags.f_contiguous
+        return op
+    center = 0.0 if operand == "forward" else operand
+    mainlobe, sidelobe = assemble_regions(center, 20.0, 3.0, 0.5)
+    q = build_gain_operators(nonuniform41(), mainlobe, sidelobe).Q
+    if operand == "forward":
+        # Q as the sphere solve's Q d2 uses it
+        assert q.shape == (41, 310) and q.flags.f_contiguous
+        return q
+    op = np.ascontiguousarray(q.conj().T)
+    assert op.shape[0] == {0.0: 310, 0.25: 309}[operand]
+    return op
+
+
 class TestRowBlockedProduct:
-    @pytest.mark.parametrize("operand", [0.0, 0.25, "steering"])
-    def test_adjoint_product_equals_plain(self, rng, operand):
-        if operand == "steering":
-            # a(theta)^H on the full-span pattern grid, as the pattern pass uses it
-            op = steering_matrix(nonuniform41(), -90.0 + 0.5 * np.arange(361)).conj().T
-            assert op.shape == (361, 41) and op.flags.f_contiguous
-        else:
-            mainlobe, sidelobe = assemble_regions(operand, 20.0, 3.0, 0.5)
-            q = build_gain_operators(nonuniform41(), mainlobe, sidelobe).Q
-            op = np.ascontiguousarray(q.conj().T)
-            assert op.shape[0] == {0.0: 310, 0.25: 309}[operand]
+    @pytest.mark.parametrize("operand", [0.0, 0.25, "steering", "forward", "wide", "small"])
+    def test_adjoint_product_equals_plain(self, request, rng, operand):
+        op = _blocked_product_operand(operand)
+        if op.flags.f_contiguous:
+            # compared with the plain product at OpenBLAS's two threads, set
+            # here, so that the comparison does not depend on the
+            # environment's count; a C-ordered product rounds alike at any
+            # count, so that case runs without an OpenBLAS build found
+            threads = dict.fromkeys(request.getfixturevalue("two_blas_threads"), 2)
         product = RowBlockedProduct(op)
         for _ in range(200):
-            x = rng.normal(size=41) + 1j * rng.normal(size=41)
-            assert np.array_equal(product(x), op @ x)
+            x = rng.normal(size=op.shape[1]) + 1j * rng.normal(size=op.shape[1])
+            plain = op @ x
+            with one_blas_thread():
+                assert np.array_equal(product(x), plain)
+        if op.flags.f_contiguous:
+            assert blas_threads() == threads
+
+    def test_solve_and_pattern_same_inside_and_outside_a_block(self, rng, two_blas_threads):
+        geometry = nonuniform41()
+        mainlobe, sidelobe = assemble_regions(0.0, 20.0, 3.0, 0.5)
+        ops = build_gain_operators(geometry, mainlobe, sidelobe)
+        solver = SphereSolver(ops.P, ops.Q)
+        theta = -90.0 + 0.5 * np.arange(361)
+        for _ in range(20):
+            d1 = rng.normal(size=41) + 1j * rng.normal(size=41)
+            d2 = rng.normal(size=310) + 1j * rng.normal(size=310)
+            x = solver.solve(d1, d2)
+            pattern = power_gain_pattern(geometry, x, theta, ops.A)
+            with one_blas_thread():
+                assert solver.solve(d1, d2).tobytes() == x.tobytes()
+                inside = power_gain_pattern(geometry, x, theta, ops.A)
+                assert inside.tobytes() == pattern.tobytes()
 
     def test_forward_product_independent_of_thread_count(self):
         outputs = _child_outputs(_CHILD_PRODUCT)

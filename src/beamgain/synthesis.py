@@ -22,14 +22,12 @@ from . import engine
 from .arraymodel import (
     AngularGrid,
     ArrayGeometry,
-    GainOperators,
     build_gain_operators,
     power_gain_pattern,
     solve_upper,
 )
-from .engine import AdmmConfig, AdmmHistory, AdmmState, run_wosc, run_wsc
+from .engine import AdmmConfig, AdmmHistory, run_wosc, run_wsc
 from .errors import BeamgainError, DomainError
-from .sphere import SphereSolver
 
 if TYPE_CHECKING:
     from numpy.typing import NDArray
@@ -182,19 +180,24 @@ def _full_span_grid(resolution: float) -> NDArray[np.float64]:
     return -90.0 + resolution * np.arange(steps + 1)
 
 
-@dataclass(frozen=True)
-class _SetUp:
-    """A problem with its regions, operators and sphere solver built."""
+def synthesize(problem: SynthesisProblem) -> SynthesisResult:
+    """Run the selected loop and assemble weights, pattern, and metrics.
 
-    problem: SynthesisProblem
-    mainlobe: AngularGrid
-    sidelobe: tuple[AngularGrid, ...]
-    ops: GainOperators
-    solver: SphereSolver
-
-
-def _set_up(problem: SynthesisProblem) -> _SetUp:
-    """Regions, operators and the sphere solver (its Gram and ``eigh``)."""
+    The run builds the regions, the gain operators and the sphere solver
+    (its Gram and ``eigh``), runs the ADMM loop on that solver, and then
+    forms the weights, the patterns and the metrics.  The set-up holds the
+    run's largest BLAS and LAPACK calls.  They run on one OpenBLAS thread,
+    except the two whose bits depend on the thread count and which keep the
+    caller's: the sidelobe Gram ``Q Q^H`` and, for tabulated element
+    patterns, the quadrature product of the total-power matrix; each is
+    followed by a one-thread block, which stops the BLAS helper threads it
+    woke (in a process running one Python thread).  The loop's sidelobe
+    products and the pattern products run in row blocks below OpenBLAS's
+    threading size.  So no helper spins beside the loop, and an
+    unconstrained run on isotropic elements leaves none running.
+    Non-convergence within the iteration budget is reported through the
+    ``converged`` flag, not an error, so sweeps can proceed.
+    """
     mainlobe, sidelobe = assemble_regions(
         problem.beam_center_deg,
         problem.beamwidth_deg,
@@ -213,24 +216,11 @@ def _set_up(problem: SynthesisProblem) -> _SetUp:
     # looked up at call time, so that a wrapper installed on the engine's
     # name sees every solver built
     solver = engine.SphereSolver(ops.P, ops.Q if constrained else None)
-    return _SetUp(problem, mainlobe, sidelobe, ops, solver)
+    if constrained:
+        state = run_wsc(ops, problem.admm, gamma_from_dsll(problem.dsll_db), solver=solver)
+    else:
+        state = run_wosc(ops, problem.admm, solver=solver)
 
-
-def _iterate(setup: _SetUp) -> AdmmState:
-    """The ADMM loop alone, on the prebuilt solver."""
-    problem = setup.problem
-    if problem.dsll_db is not None:
-        return run_wsc(
-            setup.ops, problem.admm, gamma_from_dsll(problem.dsll_db),
-            solver=setup.solver,
-        )
-    return run_wosc(setup.ops, problem.admm, solver=setup.solver)
-
-
-def _finish(setup: _SetUp, state: AdmmState) -> SynthesisResult:
-    """Weights, patterns and metrics of a finished loop."""
-    problem, ops = setup.problem, setup.ops
-    mainlobe, sidelobe = setup.mainlobe, setup.sidelobe
     weights_effective = solve_upper(ops.C, state.x)
     weights_physical = weights_effective / np.sqrt(problem.geometry.efficiencies)
 
@@ -264,28 +254,6 @@ def _finish(setup: _SetUp, state: AdmmState) -> SynthesisResult:
     )
 
 
-def synthesize(problem: SynthesisProblem) -> SynthesisResult:
-    """Run the selected loop and assemble weights, pattern, and metrics.
-
-    Three steps run in order: set-up (regions, operators, and the sphere
-    solver's Gram eigensystem), the ADMM loop, and the finish (weights,
-    patterns and metrics).  The set-up holds the run's largest BLAS and
-    LAPACK calls.  They run on one OpenBLAS thread, except the two whose
-    bits depend on the thread count and which keep the caller's: the
-    sidelobe Gram ``Q Q^H`` and, for tabulated element patterns, the
-    quadrature product of the total-power matrix; each is followed by a
-    one-thread block, which stops the BLAS helper threads it woke (in a
-    process running one Python thread).  The loop's sidelobe products and
-    the pattern products run in row blocks below OpenBLAS's threading size.
-    So no helper spins beside the loop, and an unconstrained run on
-    isotropic elements leaves none running.  Non-convergence within the
-    iteration budget is reported through the ``converged`` flag, not an
-    error, so sweeps can proceed.
-    """
-    setup = _set_up(problem)
-    return _finish(setup, _iterate(setup))
-
-
 @dataclass(frozen=True)
 class SweepRow:
     """One scanning-sweep entry; ``error`` is set when the run failed."""
@@ -300,12 +268,15 @@ class SweepRow:
     error: str | None = None
 
 
-def _sweep_row(center: float, start: float, solve) -> SweepRow:
-    """Row of ``solve()``, timed from ``start``; a model error becomes an error row."""
+def _sweep_one(problem: SynthesisProblem, center: float) -> SweepRow:
+    """The timed row of ``problem`` at ``center``; a model error becomes an error row."""
+    start = time.perf_counter()
     try:
-        result = solve()
+        result = synthesize(replace(problem, beam_center_deg=center))
     except BeamgainError as exc:
-        return _error_row(center, exc, start)
+        wall = 1e3 * (time.perf_counter() - start)
+        return SweepRow(center, float("nan"), None, float("nan"), 0, False, wall,
+                        error=str(exc))
     return SweepRow(
         center,
         result.g0_dbi,
@@ -315,67 +286,6 @@ def _sweep_row(center: float, start: float, solve) -> SweepRow:
         result.converged,
         1e3 * (time.perf_counter() - start),
     )
-
-
-def _error_row(center: float, exc: BeamgainError, start: float) -> SweepRow:
-    wall = 1e3 * (time.perf_counter() - start)
-    return SweepRow(center, float("nan"), None, float("nan"), 0, False, wall,
-                    error=str(exc))
-
-
-def _sweep_one(problem: SynthesisProblem, center: float) -> SweepRow:
-    return _sweep_row(
-        center,
-        time.perf_counter(),
-        lambda: synthesize(replace(problem, beam_center_deg=center)),
-    )
-
-
-def _sweep_chunk(problem: SynthesisProblem, centers: list[float], lock) -> list[SweepRow]:
-    """Rows for ``centers``: every set-up first, under ``lock``, then each loop.
-
-    Of the set-ups' BLAS calls only those that keep the caller's thread
-    count run threaded (``Q Q^H``, and the quadrature product of the
-    total-power matrix for tabulated element patterns; see
-    :func:`synthesize`).  Holding ``lock`` through the set-ups keeps the
-    other workers' set-ups from running at the same time; each set-up ends
-    with its helper threads stopped, and the loops and finishes that follow
-    wake none.  A center whose
-    set-up, loop or finish raises a model error becomes an error row.
-    ``wall_ms`` is the center's own set-up, loop and finish time, without
-    the wait for the lock.
-    """
-    prepared = []
-    with lock:
-        for center in centers:
-            start = time.perf_counter()
-            try:
-                setup = _set_up(replace(problem, beam_center_deg=center))
-            except BeamgainError as exc:
-                setup = exc
-            prepared.append((setup, time.perf_counter() - start))
-    rows = []
-    for center, (setup, setup_s) in zip(centers, prepared):
-        start = time.perf_counter() - setup_s
-        if isinstance(setup, BeamgainError):
-            rows.append(_error_row(center, setup, start))
-        else:
-            rows.append(_sweep_row(center, start, lambda: _finish(setup, _iterate(setup))))
-    return rows
-
-
-# The set-up lock of a forked sweep worker, inherited from the parent through
-# the pool's initializer; it is set only in the worker processes.
-_worker_lock = None
-
-
-def _init_worker(lock) -> None:
-    global _worker_lock
-    _worker_lock = lock
-
-
-def _sweep_chunk_in_worker(problem: SynthesisProblem, centers: list[float]) -> list[SweepRow]:
-    return _sweep_chunk(problem, centers, _worker_lock)
 
 
 def _cpu_count() -> int:
@@ -388,41 +298,25 @@ def _cpu_count() -> int:
 def scan_sweep(problem: SynthesisProblem, centers) -> list[SweepRow]:
     """Independent cold-start runs for each beam center, in center order.
 
+    Each row is one :func:`synthesize` call at its center, so its answer is
+    bit-identical to that call's, and its ``wall_ms`` is the call's time.
     The centers are solved in forked worker processes, one per CPU, or in
     this process when there would be fewer than two workers or the platform
-    cannot fork.  Worker ``k`` of ``w`` takes the fixed chunk
-    ``centers[k::w]``.  It sets up every center of its chunk first (regions,
-    operators and the sphere solver's Gram ``eigh``) while holding a lock
-    shared by the workers, then runs each center's loop and finish.  Most
-    set-up calls run on one OpenBLAS thread; the lock serializes the two
-    that keep the default count, each set-up's ``Q Q^H`` and, for
-    tabulated element patterns, the quadrature product of the total-power
-    matrix.  So one worker at a time makes threaded BLAS calls, each
-    set-up stops the helper threads they woke, and the loops and finishes
-    wake none.  A row's
-    ``wall_ms`` is its center's set-up, loop and finish time, not the wait
-    for the lock.
-
-    Forked workers start from the parent's loaded modules; spawned ones
-    would import numpy and beamgain again for each sweep.  The pool modules
-    are imported here so that ``import beamgain`` does not pay for them.
+    cannot fork.  The centers are cut into one contiguous chunk per worker,
+    each a single task, so the parent pickles the problem once per worker,
+    not once per center.  Forked workers start from the parent's loaded modules; spawned
+    ones would import numpy and beamgain again for each sweep.  The pool
+    modules are imported here so that ``import beamgain`` does not pay for
+    them.
     """
     import multiprocessing
 
     centers = [float(c) for c in centers]
-    workers = min(len(centers), _cpu_count())
+    n = len(centers)
+    workers = min(n, _cpu_count())
     if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
         return [_sweep_one(problem, c) for c in centers]
     from concurrent.futures import ProcessPoolExecutor
 
-    context = multiprocessing.get_context("fork")
-    chunks = [centers[k::workers] for k in range(workers)]
-    rows: list[SweepRow] = [None] * len(centers)
-    with ProcessPoolExecutor(
-        workers, mp_context=context, initializer=_init_worker, initargs=(context.Lock(),)
-    ) as pool:
-        for k, chunk_rows in enumerate(
-            pool.map(_sweep_chunk_in_worker, [problem] * workers, chunks)
-        ):
-            rows[k::workers] = chunk_rows
-    return rows
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(_sweep_one, [problem] * n, centers, chunksize=-(-n // workers)))

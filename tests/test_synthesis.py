@@ -191,7 +191,7 @@ class TestScanSweep:
     @pytest.mark.parametrize("case", ["ula8", "nonuniform41", "in-process"])
     def test_rows_in_center_order_match_synthesize(self, monkeypatch, case):
         if case == "nonuniform41":
-            # Q is 41 x 310: the blocked products and the set-up lock run
+            # Q is 41 x 310: the workers run the blocked products
             problem = SynthesisProblem(
                 geometry=nonuniform41(), beam_center_deg=0.0, beamwidth_deg=20.0,
                 dsll_db=-20.0, admm=AdmmConfig(rho_init=2000.0, iter_max=60),
@@ -215,67 +215,24 @@ class TestScanSweep:
             for name in fields:
                 assert getattr(row, name) == getattr(direct, name), name
 
-    def test_chunk_sets_up_every_center_before_the_first_loop(self, monkeypatch):
-        calls = []
-
-        class Lock:
-            held = False
-
-            def __enter__(self):
-                assert not self.held
-                self.held = True
-                calls.append("acquire")
-
-            def __exit__(self, *exc):
-                self.held = False
-                calls.append("release")
-
-        def recorded(name, fn):
-            def step(arg, *rest):
-                center = (arg if name == "set_up" else arg.problem).beam_center_deg
-                calls.append((name, center))
-                return fn(arg, *rest)
-            return step
-
-        for name in ("set_up", "iterate", "finish"):
-            monkeypatch.setattr(
-                synthesis, f"_{name}", recorded(name, getattr(synthesis, f"_{name}"))
-            )
+    def test_failure_recorded_sweep_continues(self, monkeypatch):
+        # two workers, so the 89 deg error row ends the first chunk of the pool
+        monkeypatch.setattr(synthesis, "_cpu_count", lambda: 2)
         problem = SynthesisProblem(
             geometry=ula(9), beam_center_deg=0.0, beamwidth_deg=30.0,
             admm=AdmmConfig(rho_init=200.0, iter_max=50),
         )
-        lock = Lock()
-        rows = synthesis._sweep_chunk(problem, [89.0, 0.0, 12.0], lock)
-
-        assert not lock.held
-        assert calls == [
-            "acquire",
-            ("set_up", 89.0), ("set_up", 0.0), ("set_up", 12.0),
-            "release",
-            ("iterate", 0.0), ("finish", 0.0),
-            ("iterate", 12.0), ("finish", 12.0),
-        ]
-        assert [row.theta_c_deg for row in rows] == [89.0, 0.0, 12.0]
-        assert "clipped" in rows[0].error
-        assert np.isnan(rows[0].g0_dbi)
-        for row in rows[1:]:
+        rows = scan_sweep(problem, [0.0, 89.0, 12.0])
+        assert [row.theta_c_deg for row in rows] == [0.0, 89.0, 12.0]
+        assert "clipped" in rows[1].error
+        assert np.isnan(rows[1].g0_dbi)
+        fields = ("g0_dbi", "osll_db", "ripple_db", "iterations", "converged")
+        for row in (rows[0], rows[2]):
             direct = synthesize(replace(problem, beam_center_deg=row.theta_c_deg))
             assert row.error is None
-            assert row.g0_dbi == direct.g0_dbi
-            assert row.iterations == direct.iterations
-            assert row.wall_ms > 0.0
-
-    def test_failure_recorded_sweep_continues(self):
-        geom = ula(9)
-        problem = SynthesisProblem(
-            geometry=geom, beam_center_deg=0.0, beamwidth_deg=30.0,
-            admm=AdmmConfig(rho_init=200.0, iter_max=50),
-        )
-        rows = scan_sweep(problem, [0.0, 89.0])
-        assert rows[1].error is not None
-        assert np.isnan(rows[1].g0_dbi)
-        assert rows[0].error is None
+            for name in fields:
+                assert getattr(row, name) == getattr(direct, name), name
+        assert all(row.wall_ms > 0.0 for row in rows)
 
     def test_scanning_reference_rows(self):
         # full-size sweep: constrained runs across beam centers keep the

@@ -14,14 +14,19 @@ with ``git archive`` into a temporary directory, so the parent side runs the
 committed files alone.  Workloads take consecutive seed ranges in the order
 given.
 
-Per workload the output holds every result record, ``perfbench/compare.py``'s
-output on them, per-metric medians with inclusive quartiles and the change's
-wins and losses over pairs, each seed's failed problems on both sides, and
-the problems both sides reached whose answers (``g0_dbi``, ``osll_db``,
-``iterations``, ``converged``) differ.  A claim ``workload:metric`` adds a
-verdict: the change must win at least nine in ten pairs, and its median must
-beat the parent's by more than the parent's quartile spread.  One
-``--trace 1`` run on the working tree follows each workload's pairs.
+Every result record is written to ``bench_records/<out stem>/``, which git
+ignores.  Per workload the output holds ``perfbench/compare.py``'s output on
+those records, per-metric medians with inclusive quartiles and the change's
+wins and losses over pairs, and the problems both sides reached whose
+answers (``g0_dbi``, ``osll_db``, ``iterations``, ``converged``) differ.  It
+also holds each side's failed share over all its runs, and each seed's
+failed problems on both sides.  A timed run reaches as many problems as its
+speed allows, so each failed problem is tagged by the other side's run on
+the same seed: ``both_failed``, ``other_passed`` or ``other_not_reached``.
+A claim ``workload:metric`` adds a verdict: the change must win at least
+nine in ten pairs, and its median must beat the parent's by more than the
+parent's quartile spread.  One ``--trace 1`` run on the working tree follows
+each workload's pairs.
 
 Only the standard library is used; the benchmark itself needs numpy.
 """
@@ -39,6 +44,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# the per-run result records, one directory per output file; not committed
+RECORDS = ROOT / "bench_records"
 ANSWER_FIELDS = ("g0_dbi", "osll_db", "iterations", "converged")
 # a sweep row has no beamwidth; its key holds None there
 PROBLEM_KEY = ("pass", "theta_c_deg", "beamwidth_deg", "dsll_db")
@@ -127,26 +134,58 @@ def verdict(metric: dict, entry: dict) -> dict:
     }
 
 
-def failures(records) -> dict:
-    """Each seed's attempted and failed counts, reasons and unconverged answers."""
-    return {
-        str(r["seed"]): {
-            "attempted": r["attempted"],
-            "failed": r["failed"],
-            "failures": r["failures"],
-            "unconverged": [a for a in r["answers"] if not a["converged"]],
+def _key(answer) -> tuple:
+    return tuple(answer.get(k) for k in PROBLEM_KEY)
+
+
+def _failed(answer) -> bool:
+    """An answer that did not converge or holds no finite G0 (a raised run)."""
+    g0 = answer["g0_dbi"]
+    return not answer["converged"] or g0 is None or not math.isfinite(g0)
+
+
+def failures(records, others) -> dict:
+    """Each seed's failed problems, tagged by the other side's run on that seed.
+
+    A failed problem is tagged ``both_failed`` when the other side failed it
+    too, ``other_passed`` when it passed there and ``other_not_reached`` when
+    the other side's timed run ended before it.  ``untagged`` counts the
+    failures that no answer shows (a run that raised, a sidelobe over its
+    cap, a missed published gain); the reasons list them all.
+    """
+    out = {}
+    for record, other in zip(records, others):
+        theirs = {_key(a): a for a in other["answers"]}
+        problems = []
+        for answer in filter(_failed, record["answers"]):
+            match = theirs.get(_key(answer))
+            if match is None:
+                tag = "other_not_reached"
+            else:
+                tag = "both_failed" if _failed(match) else "other_passed"
+            problems.append({**answer, "tag": tag})
+        out[str(record["seed"])] = {
+            "attempted": record["attempted"],
+            "failed": record["failed"],
+            "failures": record["failures"],
+            "problems": problems,
+            "untagged": record["failed"] - len(problems),
         }
-        for r in records
-    }
+    return out
+
+
+def failed_share(records) -> float:
+    """Failed problems over attempted ones, summed over every run."""
+    return sum(r["failed"] for r in records) / sum(r["attempted"] for r in records)
 
 
 def match_answers(parent, change) -> tuple[int, list]:
     """Problems both sides reached on the same seed, and those whose answers differ."""
     matched, differing = 0, []
     for a, b in zip(parent, change):
-        theirs = {tuple(x.get(k) for k in PROBLEM_KEY): x for x in a["answers"]}
+        theirs = {_key(x): x for x in a["answers"]}
         for answer in b["answers"]:
-            key = tuple(answer.get(k) for k in PROBLEM_KEY)
+            key = _key(answer)
             if key not in theirs:
                 continue
             matched += 1
@@ -177,6 +216,8 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     claims = dict(claim.split(":", 1) for claim in args.claim)
+    records_dir = RECORDS / args.out.stem
+    records_dir.mkdir(parents=True, exist_ok=True)
     report = {
         "what": (
             f"perfbench/run.py --seconds {seconds:g} --trace 0, {PAIRS} pairs per "
@@ -184,7 +225,10 @@ def main(argv=None) -> int:
             "alternating which runs first. compare holds perfbench/compare.py's output on "
             "each workload's records; summary holds per-metric medians, inclusive "
             "quartiles and the change's wins over pairs; failures lists each seed's "
-            "failed problems on both sides."
+            "failed problems on both sides, each tagged both_failed, other_passed or "
+            "other_not_reached by the other side's run on that seed, and failed_share "
+            "each side's failed problems over attempted ones. The per-run records are "
+            f"in {records_dir.relative_to(ROOT)}/, which is not committed."
         ),
         "order": "pair i runs parent first when i is even, change first when i is odd",
         "workloads": {},
@@ -203,7 +247,7 @@ def main(argv=None) -> int:
                     print(f"{workload} seed {pair_seed} {side}", file=sys.stderr, flush=True)
                     records[side].append(
                         run_once(trees[side], workload, pair_seed, seconds, 0))
-            code, text = compare(tmp, records["parent"], records["change"])
+            code, text = compare(records_dir, records["parent"], records["change"])
             summary = summarize(spec["end_to_end"], records["parent"], records["change"])
             matched, differing = match_answers(records["parent"], records["change"])
             entry = {
@@ -211,7 +255,11 @@ def main(argv=None) -> int:
                 "compare_exit": code,
                 "compare": text,
                 "summary": summary,
-                "failures": {side: failures(records[side]) for side in records},
+                "failed_share": {side: failed_share(records[side]) for side in records},
+                "failures": {
+                    "parent": failures(records["parent"], records["change"]),
+                    "change": failures(records["change"], records["parent"]),
+                },
                 "matched_answers": matched,
                 "differing_answers": len(differing),
                 "differing": differing,
@@ -227,14 +275,15 @@ def main(argv=None) -> int:
                         "could not find",
                 "record": record,
             }
-            entry["records"] = records
             report["workloads"][workload] = entry
             # written after each workload, so a cut run keeps what it finished
             args.out.write_text(json.dumps(report, indent=1) + "\n")
     for workload, entry in report["workloads"].items():
         print(f"== {workload}: compare exit {entry['compare_exit']}, "
               f"{entry['matched_answers']} matched answers, "
-              f"{entry['differing_answers']} differ")
+              f"{entry['differing_answers']} differ, failed share parent "
+              f"{entry['failed_share']['parent']:.4f}, change "
+              f"{entry['failed_share']['change']:.4f}")
         print(entry["compare"])
         if "claim" in entry:
             print(json.dumps(entry["claim"]))
